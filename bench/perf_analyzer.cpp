@@ -87,11 +87,11 @@ void BM_SyscallWithTracing(benchmark::State& state) {
 }
 BENCHMARK(BM_SyscallWithTracing);
 
-void BM_FilterThroughput(benchmark::State& state) {
+void run_filter_bench(benchmark::State& state,
+                      const trace::FilterConfig& config) {
     const auto& events = canned_trace();
     for (auto _ : state) {
-        trace::TraceFilter filter(
-            trace::FilterConfig::mount_point("/mnt/test"));
+        trace::TraceFilter filter(config);
         std::size_t kept = 0;
         for (const auto& ev : events)
             if (filter.admit(ev)) ++kept;
@@ -99,23 +99,22 @@ void BM_FilterThroughput(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(events.size()));
+}
+
+/// The default mount-point filter: a literal prefix match per path.
+void BM_FilterThroughput(benchmark::State& state) {
+    run_filter_bench(state, trace::FilterConfig::mount_point("/mnt/test"));
 }
 BENCHMARK(BM_FilterThroughput);
 
-void BM_FilterThroughputPrefix(benchmark::State& state) {
-    const auto& events = canned_trace();
-    for (auto _ : state) {
-        trace::TraceFilter filter(
-            trace::FilterConfig::mount_point_prefix("/mnt/test"));
-        std::size_t kept = 0;
-        for (const auto& ev : events)
-            if (filter.admit(ev)) ++kept;
-        benchmark::DoNotOptimize(kept);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(events.size()));
+/// The same scope as an include regex, the cost a caller-set pattern
+/// pays per path.
+void BM_FilterThroughputRegex(benchmark::State& state) {
+    trace::FilterConfig config;
+    config.include.push_back("^/mnt/test(/.*)?$");
+    run_filter_bench(state, config);
 }
-BENCHMARK(BM_FilterThroughputPrefix);
+BENCHMARK(BM_FilterThroughputRegex);
 
 void BM_AnalyzerThroughput(benchmark::State& state) {
     const auto& events = canned_trace();
@@ -215,7 +214,8 @@ void BM_ConsumeTextParallel(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * canned_text_lines());
 }
-BENCHMARK(BM_ConsumeTextParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ConsumeTextParallel)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // --- ingest: trace bytes -> events, text vs IOCT binary ---------------------
 
@@ -399,7 +399,8 @@ void BM_ConsumeBinaryParallel(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * canned_text_lines());
 }
-BENCHMARK(BM_ConsumeBinaryParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ConsumeBinaryParallel)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // --- file-backed ingestion: mmap vs read() copy -----------------------------
 

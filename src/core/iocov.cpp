@@ -27,9 +27,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// The shared decode -> filter -> analyze inner loop over a span of
 /// scan refs.  Chunked through the reusable EventBatch/EventScratch so
 /// steady state performs zero heap allocations (tracked per thread via
-/// the exec allocation hook).  Bindings pre-resolve interned syscall
-/// names — bindings[name_id] replaces a per-event hash lookup with a
-/// vector index.
+/// the exec allocation hook).  Both bindings pre-resolve the interned
+/// string table: bindings[name_id] replaces a per-event hash lookup
+/// with a vector index, and `scope` lets the filter admit a row from
+/// its string ids, so only admitted rows are materialized.
 struct IngestOutcome {
     std::size_t dropped = 0;
     std::uint64_t events = 0;    // rows decoded (pre-filter)
@@ -41,6 +42,7 @@ IngestOutcome ingest_refs(std::string_view data,
                           const std::vector<std::string_view>& strings,
                           const trace::EventRef* refs, std::size_t n,
                           const std::vector<SyscallTable::Binding>& bindings,
+                          const trace::TraceFilter::Binding& scope,
                           trace::TraceFilter& filter, Analyzer& analyzer,
                           trace::EventBatch& batch,
                           trace::EventScratch& scratch,
@@ -53,12 +55,12 @@ IngestOutcome ingest_refs(std::string_view data,
         trace::decode_batch(data, strings, refs + i, chunk, batch,
                             &out.dropped, &diags);
         for (std::size_t r = 0; r < batch.rows.size(); ++r) {
-            const trace::TraceEvent& ev =
-                scratch.materialize(batch, r, strings);
-            if (filter.admit(ev))
-                analyzer.consume(ev, bindings[batch.rows[r].name_id]);
-            else
+            if (!filter.admit_row(batch, r, scope)) {
                 ++out.filtered;
+                continue;
+            }
+            analyzer.consume(scratch.materialize(batch, r, strings),
+                             bindings[batch.rows[r].name_id]);
         }
         out.events += batch.rows.size();
     }
@@ -103,11 +105,12 @@ std::size_t IOCov::consume_binary(std::string_view data) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto scan = trace::scan_ioct(data);
     const auto bindings = analyzer_.table().bind_all(scan.strings);
+    const auto scope = filter_.bind(scan.strings);
     trace::ParseDiagnostics decode_diags;
     const IngestOutcome outcome =
         ingest_refs(data, scan.strings, scan.events.data(),
-                    scan.events.size(), bindings, filter_, analyzer_, batch_,
-                    scratch_, decode_diags);
+                    scan.events.size(), bindings, scope, filter_, analyzer_,
+                    batch_, scratch_, decode_diags);
     filtered_out_ += outcome.filtered;
     diagnostics_.merge(scan.diags);
     diagnostics_.merge(decode_diags);
@@ -127,6 +130,7 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     const auto t0 = std::chrono::steady_clock::now();
     const auto scan = trace::scan_ioct(data);
     const auto bindings = analyzer_.table().bind_all(scan.strings);
+    const auto scope = filter_.bind(scan.strings);
 
     // Shard record references (not events) by pid.  Scan order is file
     // order, so each pid's event order — the only ordering the stateful
@@ -160,8 +164,8 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
             trace::EventBatch batch;
             trace::EventScratch scratch;
             outcomes[s] = ingest_refs(data, scan.strings, shards[s].data(),
-                                      shards[s].size(), bindings, filter,
-                                      analyzer, batch, scratch,
+                                      shards[s].size(), bindings, scope,
+                                      filter, analyzer, batch, scratch,
                                       shard_diags[s]);
             reports[s] = analyzer.take_report();
         } catch (const std::exception& e) {
@@ -260,14 +264,16 @@ std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
             const auto scan = trace::scan_ioct(data);
             const auto bindings = analyzer_.table().bind_all(scan.strings);
             trace::TraceFilter filter(filter_config_);
+            const auto scope = filter.bind(scan.strings);
             Analyzer analyzer(*registry_);
             trace::EventBatch batch;
             trace::EventScratch scratch;
             slot.diags.merge(scan.diags);
             slot.outcome = ingest_refs(data, scan.strings,
                                        scan.events.data(),
-                                       scan.events.size(), bindings, filter,
-                                       analyzer, batch, scratch, slot.diags);
+                                       scan.events.size(), bindings, scope,
+                                       filter, analyzer, batch, scratch,
+                                       slot.diags);
             slot.outcome.dropped += scan.dropped;
             slot.report = analyzer.take_report();
             slot.bytes = data.size();

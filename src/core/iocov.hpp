@@ -10,7 +10,7 @@
 //     const auto& report = iocov.report();
 //
 // As in the real tool, the only knob a new file-system tester needs is
-// the mount-point regular expression.
+// the mount point: the path itself and everything beneath it.
 #pragma once
 
 #include <istream>
@@ -82,9 +82,11 @@ class IOCov {
                                       unsigned n_threads = 0);
 
     /// Analyzes an IOCT binary trace held in memory (typically an
-    /// mmap'd file; see trace::MappedFile).  Events are decoded into a
-    /// reusable scratch event — no per-event string materialization —
-    /// and fed through the same filter + analyzer as consume_text, so
+    /// mmap'd file; see trace::MappedFile).  Records are decoded into
+    /// rows whose strings stay table ids; the trace filter admits each
+    /// row from those ids (TraceFilter::admit_row — the same state
+    /// machine consume_text drives), and only admitted rows are
+    /// materialized into a reusable scratch event for the analyzer, so
     /// the report is bit-identical to analyzing the equivalent text
     /// trace.  Returns the number of undecodable records dropped
     /// (torn tails and corrupt payloads), mirroring consume_text's

@@ -1,38 +1,46 @@
 #include "trace/filter.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "trace/binary_format.hpp"
 
 namespace iocov::trace {
 namespace {
 
 constexpr std::int64_t kAtFdCwd = -100;
 
-bool is_open_family(const std::string& name) {
-    return name == "open" || name == "openat" || name == "creat" ||
-           name == "openat2";
+TraceFilter::Role role_of(std::string_view name) {
+    using Role = TraceFilter::Role;
+    if (name == "open" || name == "openat" || name == "creat" ||
+        name == "openat2")
+        return Role::Open;
+    if (name == "chdir") return Role::Chdir;
+    if (name == "fchdir") return Role::Fchdir;
+    if (name == "close") return Role::Close;
+    return Role::Other;
 }
 
-bool returns_watchable_fd(const TraceEvent& ev) {
-    return is_open_family(ev.syscall) && ev.ok();
+TraceFilter::ArgKind kind_of(std::string_view name) {
+    using ArgKind = TraceFilter::ArgKind;
+    if (name == "pathname") return ArgKind::Pathname;
+    if (name == "dfd") return ArgKind::Dfd;
+    if (name == "fd") return ArgKind::Fd;
+    return ArgKind::Other;
+}
+
+/// `path` is `mount` or lies beneath `mount + '/'`: the language of the
+/// POSIX extended regex "^<mount>(/.*)?$", whose '.' never matches NUL.
+bool under_mount(std::string_view path, std::string_view mount) {
+    if (!path.starts_with(mount)) return false;
+    const std::string_view rest = path.substr(mount.size());
+    return rest.empty() ||
+           (rest.front() == '/' && rest.find('\0') == std::string_view::npos);
 }
 
 }  // namespace
 
 FilterConfig FilterConfig::mount_point(const std::string& mount) {
-    FilterConfig cfg;
-    // Match the mount point itself and anything beneath it.  The mount
-    // string is escaped naively (sufficient for conventional mount paths).
-    std::string escaped;
-    for (char ch : mount) {
-        if (std::string("\\^$.|?*+()[]{}").find(ch) != std::string::npos)
-            escaped += '\\';
-        escaped += ch;
-    }
-    cfg.include.push_back("^" + escaped + "(/.*)?$");
-    return cfg;
-}
-
-FilterConfig FilterConfig::mount_point_prefix(const std::string& mount) {
     FilterConfig cfg;
     cfg.include_prefixes.push_back(mount);
     return cfg;
@@ -46,67 +54,119 @@ TraceFilter::TraceFilter(const FilterConfig& config)
         exclude_.emplace_back(pat, std::regex::extended);
 }
 
-bool TraceFilter::path_in_scope(const std::string& path) const {
+TraceFilter::PathScope TraceFilter::classify(std::string_view path) const {
+    if (path.empty() || path.front() != '/') return PathScope::Relative;
     auto matches_any = [&](const std::vector<std::regex>& pats) {
         return std::any_of(pats.begin(), pats.end(), [&](const std::regex& re) {
-            return std::regex_match(path, re);
+            return std::regex_match(path.begin(), path.end(), re);
         });
     };
-    bool included = false;
-    for (const auto& prefix : prefixes_) {
-        if (path.size() >= prefix.size() &&
-            path.compare(0, prefix.size(), prefix) == 0 &&
-            (path.size() == prefix.size() || path[prefix.size()] == '/')) {
-            included = true;
-            break;
-        }
-    }
-    if (!included && !matches_any(include_)) return false;
-    return !matches_any(exclude_);
+    const bool included =
+        std::any_of(prefixes_.begin(), prefixes_.end(),
+                    [&](const std::string& m) { return under_mount(path, m); }) ||
+        matches_any(include_);
+    return included && !matches_any(exclude_) ? PathScope::Inside
+                                              : PathScope::Outside;
 }
 
-bool TraceFilter::admit(const TraceEvent& event) {
-    const auto pid = event.pid;
-    auto& watched = watched_[pid];
+TraceFilter::Binding TraceFilter::bind(
+    const std::vector<std::string_view>& strings) const {
+    Binding binding;
+    binding.entries.reserve(strings.size());
+    for (const auto sv : strings)
+        binding.entries.push_back({role_of(sv), kind_of(sv), classify(sv)});
+    return binding;
+}
 
-    // Pointer into the event, not a str_arg() copy: admit() sits on the
-    // ingest hot path and must not allocate per event.
-    const std::string* path = nullptr;
-    if (const Arg* a = event.find_arg("pathname"))
-        path = std::get_if<std::string>(&a->value);
+bool TraceFilter::step(const Step& s) {
+    auto& watched = watched_[s.pid];
 
     // Resolve whether a (dfd, pathname) pair is in scope.
-    auto lookup_in_scope = [&](const std::string* p,
-                               std::optional<std::int64_t> dfd) {
-        if (p && !p->empty() && p->front() == '/')
-            return path_in_scope(*p);
+    auto resolve = [&](std::optional<std::int64_t> dfd) {
+        if (s.path != PathScope::Relative) return s.path == PathScope::Inside;
         // Relative path: scope comes from the directory it resolves
         // against — a watched dfd, or the pid's cwd for AT_FDCWD.
         if (dfd && *dfd != kAtFdCwd) return watched.contains(*dfd);
-        auto it = cwd_in_scope_.find(pid);
+        auto it = cwd_in_scope_.find(s.pid);
         return it != cwd_in_scope_.end() && it->second;
     };
 
     bool in_scope = false;
-    if (path) {
-        in_scope = lookup_in_scope(path, event.int_arg("dfd"));
-    } else if (auto fd = event.int_arg("fd")) {
-        in_scope = watched.contains(*fd);
+    if (s.path != PathScope::None) {
+        in_scope = resolve(s.dfd);
+    } else if (s.fd) {
+        in_scope = watched.contains(*s.fd);
     }
 
     // State updates, in trace order.
-    if (event.syscall == "chdir" && event.ok()) {
-        if (path) cwd_in_scope_[pid] = lookup_in_scope(path, std::nullopt);
-    } else if (event.syscall == "fchdir" && event.ok()) {
-        if (auto fd = event.int_arg("fd"))
-            cwd_in_scope_[pid] = watched.contains(*fd);
-    } else if (returns_watchable_fd(event)) {
-        if (in_scope) watched.insert(event.ret);
-    } else if (event.syscall == "close" && event.ok()) {
-        if (auto fd = event.int_arg("fd")) watched.erase(*fd);
+    if (s.ret < 0) return in_scope;
+    switch (s.role) {
+        case Role::Chdir:
+            if (s.path != PathScope::None)
+                cwd_in_scope_[s.pid] = resolve(std::nullopt);
+            break;
+        case Role::Fchdir:
+            if (s.fd) cwd_in_scope_[s.pid] = watched.contains(*s.fd);
+            break;
+        case Role::Open:
+            if (in_scope) watched.insert(s.ret);
+            break;
+        case Role::Close:
+            if (s.fd) watched.erase(*s.fd);
+            break;
+        case Role::Other:
+            break;
     }
-
     return in_scope;
+}
+
+bool TraceFilter::admit(const TraceEvent& event) {
+    Step s;
+    s.pid = event.pid;
+    s.role = role_of(event.syscall);
+    s.ret = event.ret;
+    // Pointer into the event, not a str_arg() copy: admit() sits on the
+    // text ingest hot path and must not allocate per event.
+    if (const Arg* a = event.find_arg("pathname"))
+        if (const auto* p = std::get_if<std::string>(&a->value))
+            s.path = classify(*p);
+    s.dfd = event.int_arg("dfd");
+    s.fd = event.int_arg("fd");
+    return step(s);
+}
+
+bool TraceFilter::admit_row(const EventBatch& batch, std::size_t row,
+                            const Binding& binding) {
+    const auto& entries = binding.entries;
+    const BatchRow& r = batch.rows[row];
+    Step s;
+    s.pid = r.pid;
+    s.role = entries[r.name_id].role;
+    s.ret = r.ret;
+    // The first arg of each kind decides, whatever its type — find_arg's
+    // rule — so a table interning "pathname" twice behaves like admit().
+    bool seen_path = false, seen_dfd = false, seen_fd = false;
+    for (std::size_t i = r.arg_begin; i < r.arg_begin + r.arg_count; ++i) {
+        const BatchArg& a = batch.args[i];
+        const bool str = a.type == ArgType::Str;
+        switch (entries[a.name_id].kind) {
+            case ArgKind::Pathname:
+                if (!std::exchange(seen_path, true) && str)
+                    s.path = entries[a.raw].scope;
+                break;
+            case ArgKind::Dfd:
+                if (!std::exchange(seen_dfd, true) && !str)
+                    s.dfd = static_cast<std::int64_t>(a.raw);
+                break;
+            case ArgKind::Fd:
+                if (!std::exchange(seen_fd, true) && !str)
+                    s.fd = static_cast<std::int64_t>(a.raw);
+                break;
+            case ArgKind::Other:
+                break;
+        }
+    }
+    return step(s);
 }
 
 std::vector<TraceEvent> TraceFilter::filter(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 namespace iocov::trace {
@@ -229,6 +230,11 @@ struct RoundTripCase {
     const char* name;
     ArgValue value;
 };
+
+// Print a case by its name so the test names gtest and ctest derive from
+// the parameter are stable; the default byte dump would embed the address
+// of `name`, which changes from run to run under ASLR.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class TextRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -1,6 +1,6 @@
 // iocov — command-line front end for the library.
 //
-//   iocov analyze  [--mount RE] [--syz] [--strict] [--max-errors N]
+//   iocov analyze  [--mount PATH] [--syz] [--strict] [--max-errors N]
 //                  [--save FILE] [--snapshot FILE] TRACE...
 //   iocov convert  IN OUT                       (text <-> IOCT binary)
 //   iocov merge    [--threads N] -o OUT.iocs INPUT...
@@ -90,11 +90,14 @@ int usage() {
     std::fprintf(
         stderr,
         "usage:\n"
-        "  iocov analyze [--mount RE] [--syz] [--extended] [--threads N]\n"
+        "  iocov analyze [--mount PATH] [--syz] [--extended] [--threads N]\n"
         "                [--strict] [--max-errors N] [--stats]\n"
         "                [--checkpoint FILE] [--checkpoint-every N]\n"
         "                [--resume] [--save FILE] [--snapshot FILE]\n"
         "                TRACE...\n"
+        "      --mount PATH (default /mnt/test) is a literal mount point:\n"
+        "      events on PATH itself and everything under PATH/ are kept,\n"
+        "      the rest filtered out.\n"
         "      TRACE format is autodetected per file: IOCT binary (by\n"
         "      its \"IOCT\" magic), IOCS coverage snapshot (\"IOCS\"\n"
         "      magic — merged directly, no re-ingest; a version this\n"
@@ -133,7 +136,7 @@ int usage() {
         "  iocov report  [--untested] [--under N] FILE\n"
         "  iocov diff    BEFORE AFTER\n"
         "  iocov tcd     [--target N] [--arg BASE.KEY] FILE\n"
-        "  iocov serve   [--socket PATH] [--tcp PORT] [--mount RE]\n"
+        "  iocov serve   [--socket PATH] [--tcp PORT] [--mount PATH]\n"
         "                [--extended] [--threads N] [--delta-dir DIR]\n"
         "                [--delta-every N] [--label L]\n"
         "                [--checkpoint FILE] [--checkpoint-every N]\n"
@@ -173,7 +176,8 @@ int usage() {
         "  iocov demo    [--suite crashmonkey|xfstests|ltp] [--scale S]\n"
         "  iocov campaign [--suite crashmonkey|xfstests|ltp] [--scale S]\n"
         "                 [--seed N] [--samples N] [--runs N] [--chaos N]\n"
-        "                 [--permille N] [--extended] [--save FILE]\n"
+        "                 [--permille N] [--mount PATH] [--extended]\n"
+        "                 [--save FILE]\n"
         "      replay the suite once fault-free, then once per (op,\n"
         "      errno, k-th occurrence) fault point (EIO/ENOMEM/EINTR/\n"
         "      ENOSPC), fsck'ing the file system and checking errno\n"
@@ -182,8 +186,8 @@ int usage() {
         "      fsck or faithfulness violation.\n"
         "  iocov guide   [--suite crashmonkey|xfstests|ltp] [--scale S]\n"
         "                [--seed N] [--rounds N] [--budget N] [--per-gap N]\n"
-        "                [--target N] [--extended] [--baseline FILE]\n"
-        "                [--save FILE]\n"
+        "                [--target N] [--mount PATH] [--extended]\n"
+        "                [--baseline FILE] [--save FILE]\n"
         "      close the coverage loop: measure the baseline's untested\n"
         "      partitions (TCD-ranked), synthesize syscalls + fault\n"
         "      injections aimed at each gap, re-measure, and iterate\n"
