@@ -311,7 +311,7 @@ void BM_MemoryBandwidth(benchmark::State& state) {
 BENCHMARK(BM_MemoryBandwidth);
 
 /// Batched binary ingest: structural scan + decode_batch in 512-row
-/// chunks — the hardware-bound hot path (SWAR/BMI2 varints, SoA rows,
+/// chunks — the hardware-bound hot path (scalar varints, SoA rows,
 /// strings stay table ids).  `roofline_fraction` reports decode
 /// bytes/sec as a fraction of measured_memory_bandwidth().
 void BM_IngestBinaryBatched(benchmark::State& state) {
@@ -507,7 +507,7 @@ void BM_SnapshotSaveDurable(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotSaveDurable);
 
-/// Snapshot decode (SWAR varint path + checksum + histogram rebuild).
+/// Snapshot decode (varint cursor + checksum + histogram rebuild).
 void BM_SnapshotLoad(benchmark::State& state) {
     const auto& encoded = canned_fleet().encoded.front();
     for (auto _ : state) {
@@ -665,8 +665,8 @@ BENCHMARK(BM_ExtentMapSparseRead);
 // BENCHMARK_MAIN(), plus provenance context: the Debian libbenchmark
 // package compiles its own "library_build_type: debug" into every JSON
 // it emits regardless of how *this* binary was built, so record the
-// bench binary's actual build type (and the decode ISA the batched
-// benches dispatched to) under our own keys.  scripts/bench_json.sh
+// bench binary's actual build type (and the decode kernel the batched
+// benches ran) under our own keys.  scripts/bench_json.sh
 // refuses to publish a run whose iocov_build_type is not "release".
 int main(int argc, char** argv) {
 #if defined(NDEBUG) && defined(__OPTIMIZE__)

@@ -25,11 +25,11 @@
 # bench binary was compiled; iocov_build_type is the field that
 # actually reflects this binary.)
 #
-# Preflight: the ASan and UBSan gates run first so a benchmark number
-# is never published off a build with a latent memory or UB bug, a
-# Release (NDEBUG) build-and-test pass keeps the throwing size
-# contracts honest where asserts would vanish, and check_perf.sh
-# refuses to publish numbers from a regressed decoder.
+# Preflight: the ASan, UBSan and TSan gates run first so a benchmark
+# number is never published off a build with a latent memory, UB or
+# data-race bug, a Release (NDEBUG) build-and-test pass keeps the
+# throwing size contracts honest where asserts would vanish, and
+# check_perf.sh refuses to publish numbers from a regressed decoder.
 # Set IOCOV_SKIP_SANITIZERS=1 to skip them (e.g. quick local re-runs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,6 +39,8 @@ if [ "${IOCOV_SKIP_SANITIZERS:-0}" != "1" ]; then
   ./scripts/check_asan.sh
   echo "preflight: UBSan gate"
   ./scripts/check_ubsan.sh
+  echo "preflight: TSan gate"
+  ./scripts/check_tsan.sh
   echo "preflight: Release (NDEBUG) gate"
   ./scripts/check_release.sh
   echo "preflight: crash-consistency gate"

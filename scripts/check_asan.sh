@@ -27,10 +27,10 @@ BUILD="${1:-build-asan}"
 cmake -B "$BUILD" -G Ninja -DIOCOV_SANITIZE=address >/dev/null
 cmake --build "$BUILD" -j --target \
   test_binary_format test_binary_pipeline test_text_format \
-  test_batch_decode test_dir_ingest test_filter \
+  test_batch_decode test_dir_ingest test_ingest_routes test_filter \
   test_crash_replay test_crash_oracle test_crashtest \
   test_snapshot test_snapshot_merge test_host_io test_checkpoint \
   test_serve test_cli_parse
 ctest --test-dir "$BUILD" \
-  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|TraceFilter|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
+  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|IngestRoutes|TraceFilter|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
   --output-on-failure -j "$(nproc)"

@@ -22,7 +22,9 @@
 #   4. resumable-ingest byte-identity: `iocov merge`/`iocov analyze`
 #      killed mid-walk and resumed (--checkpoint/--resume) produce
 #      byte-identical artifacts to an uninterrupted run, at --threads
-#      1 and 4, and the manifest is removed on success;
+#      1 and 4, and the manifest is removed on success; a checkpointed
+#      `analyze DIR` — over a file pair whose fds cross the file
+#      boundary — reports exactly what `analyze DIR` does;
 #   5. the live daemon's socket surface: check_serve.sh's faults stage
 #      injects accept/sock-read/sock-write errnos into a running
 #      `iocov serve` — connections may degrade, the daemon must not,
@@ -72,6 +74,20 @@ done
 for i in 0 1 2 3; do
   cp "$TMP/trace.ioct" "$TMP/traces/t$i.ioct"
 done
+# A split-fd pair: pid 100 opens fd 3 in split_a and keeps using it in
+# split_b.  Every file is analyzed from empty fd state, so a
+# checkpointed walk (and its resume) must drop split_b's fd calls
+# exactly as `analyze DIR` does.
+printf '%s\n' \
+  '[000000000] pid=100 tid=100 openat: dfd=-100, pathname="/mnt/test/f0", flags=0x41, mode=0x1a4 = 3' \
+  '[000000001] pid=100 tid=100 write: fd=3, count=0x10 = 16' \
+  > "$TMP/split_a.txt"
+printf '%s\n' \
+  '[000000002] pid=100 tid=100 write: fd=3, count=0x1000 = 4096' \
+  '[000000003] pid=100 tid=100 close: fd=3 = 0' \
+  > "$TMP/split_b.txt"
+"$CLI" convert "$TMP/split_a.txt" "$TMP/traces/split_a.ioct" >/dev/null
+"$CLI" convert "$TMP/split_b.txt" "$TMP/traces/split_b.ioct" >/dev/null
 
 WANT="$TMP/want.iocs"     # the new complete artifact
 PRIOR="$TMP/prior.iocs"   # the prior complete artifact being replaced
@@ -233,6 +249,10 @@ IOCOV_SELF_FAULT="stats:$TMP/stats_an.txt" \
   "$CLI" analyze "$TMP/traces" --threads 1 --checkpoint "$CK" \
   --checkpoint-every 1 --save "$TMP/r.txt" >/dev/null
 TOTAL_AN=$(awk '$1 == "total" {print $2}' "$TMP/stats_an.txt")
+cmp "$TMP/r.txt" "$TMP/want_report.txt" || {
+  echo "chaos: checkpointed analyze differs from analyze DIR" >&2
+  exit 1
+}
 rm -f "$CK"
 for threads in 1 4; do
   k=$(( TOTAL_AN / 2 + 1 ))

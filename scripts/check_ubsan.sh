@@ -22,9 +22,10 @@ cmake -B "$BUILD" -G Ninja -DIOCOV_SANITIZE=undefined >/dev/null
 cmake --build "$BUILD" -j --target \
   test_fsck test_fault test_campaign test_ingest_faults \
   test_binary_format test_text_format test_batch_decode test_filter \
+  test_ingest_routes \
   test_crash_replay test_crash_oracle test_state_diff \
   test_snapshot test_snapshot_merge test_host_io \
   test_serve test_cli_parse
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|TraceFilter|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
+  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|IngestRoutes|Binary|TextFormat|BatchDecode|TraceFilter|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
   --output-on-failure -j "$(nproc)"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <iterator>
 
 #include "core/snapshot.hpp"
@@ -12,6 +11,26 @@
 #include "trace/text_format.hpp"
 
 namespace iocov::core {
+
+/// What running one shard yields.  A shard is a row source analyzed
+/// from empty filter state: IOCT refs over one string table, or parsed
+/// text events.  The same type carries a call's own share (scan drops,
+/// bytes, wall time) and a parse chunk's; IOCov::fold() is the only
+/// way any of it reaches the IOCov.
+struct ShardResult {
+    /// The shard's coverage when it ran on its own analyzer; empty when
+    /// it analyzed in place (one lane) or analyzed nothing.
+    std::optional<CoverageReport> report;
+    std::uint64_t filtered = 0;  ///< events the trace filter rejected
+    /// Undecodable records or malformed lines, or every event a lost
+    /// shard held.
+    std::size_t dropped = 0;
+    trace::ParseDiagnostics diags;
+    IngestStats stats;
+    bool rejected = false;  ///< a file that is not a readable IOCT trace
+    bool lost = false;      ///< the shard failed outright
+};
+
 namespace {
 
 /// Rows decoded per decode_batch() chunk: large enough to amortize the
@@ -24,62 +43,113 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
-/// The shared decode -> filter -> analyze inner loop over a span of
-/// scan refs.  Chunked through the reusable EventBatch/EventScratch so
-/// steady state performs zero heap allocations (tracked per thread via
-/// the exec allocation hook).  Both bindings pre-resolve the interned
-/// string table: bindings[name_id] replaces a per-event hash lookup
-/// with a vector index, and `scope` lets the filter admit a row from
-/// its string ids, so only admitted rows are materialized.
-struct IngestOutcome {
-    std::size_t dropped = 0;
-    std::uint64_t events = 0;    // rows decoded (pre-filter)
-    std::uint64_t filtered = 0;  // rows rejected by the trace filter
-    std::uint64_t allocs = 0;    // heap allocations inside the loop
+unsigned lanes_for(unsigned n_threads) {
+    return n_threads ? n_threads : exec::ThreadPool::default_thread_count();
+}
+
+/// One scanned IOCT string table, pre-resolved for analysis:
+/// bindings[name_id] replaces a per-event syscall lookup with a vector
+/// index, and `scope` lets the filter admit a row from its string ids.
+struct RefTable {
+    std::string_view data;
+    const std::vector<std::string_view>& strings;
+    std::vector<SyscallTable::Binding> bindings;
+    trace::TraceFilter::Binding scope;
 };
 
-IngestOutcome ingest_refs(std::string_view data,
-                          const std::vector<std::string_view>& strings,
-                          const trace::EventRef* refs, std::size_t n,
-                          const std::vector<SyscallTable::Binding>& bindings,
-                          const trace::TraceFilter::Binding& scope,
-                          trace::TraceFilter& filter, Analyzer& analyzer,
-                          trace::EventBatch& batch,
-                          trace::EventScratch& scratch,
-                          trace::ParseDiagnostics& diags) {
-    IngestOutcome out;
+/// The IOCT row source: decode_batch -> admit_row -> materialize only
+/// admitted rows -> analyze.  Chunked through the reusable EventBatch/
+/// EventScratch so steady state performs zero heap allocations
+/// (tracked per thread via the exec allocation hook).
+void analyze_refs(const RefTable& table, const trace::EventRef* refs,
+                  std::size_t n, trace::TraceFilter& filter,
+                  Analyzer& analyzer, trace::EventBatch& batch,
+                  trace::EventScratch& scratch, ShardResult& out) {
     const std::uint64_t allocs0 = exec::thread_allocation_count();
     for (std::size_t i = 0; i < n; i += kBatchRows) {
         const std::size_t chunk = std::min(kBatchRows, n - i);
         batch.clear();
-        trace::decode_batch(data, strings, refs + i, chunk, batch,
-                            &out.dropped, &diags);
+        trace::decode_batch(table.data, table.strings, refs + i, chunk,
+                            batch, &out.dropped, &out.diags);
         for (std::size_t r = 0; r < batch.rows.size(); ++r) {
-            if (!filter.admit_row(batch, r, scope)) {
+            if (!filter.admit_row(batch, r, table.scope)) {
                 ++out.filtered;
                 continue;
             }
-            analyzer.consume(scratch.materialize(batch, r, strings),
-                             bindings[batch.rows[r].name_id]);
+            analyzer.consume(scratch.materialize(batch, r, table.strings),
+                             table.bindings[batch.rows[r].name_id]);
         }
-        out.events += batch.rows.size();
+        out.stats.events += batch.rows.size();
     }
-    out.allocs = exec::thread_allocation_count() - allocs0;
-    return out;
+    out.stats.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
+}
+
+/// The text row source: parsed events through admit().
+void analyze_events(const std::vector<trace::TraceEvent>& events,
+                    trace::TraceFilter& filter, Analyzer& analyzer,
+                    ShardResult& out) {
+    for (const auto& ev : events) {
+        if (filter.admit(ev)) analyzer.consume(ev);
+        else ++out.filtered;
+    }
+    out.stats.events += events.size();
+}
+
+/// Runs `rows(filter, analyzer)` on a fresh filter and analyzer and
+/// keeps the analyzer's report in `out`.
+template <class Rows>
+void run_own(const trace::FilterConfig& config,
+             const std::vector<SyscallSpec>& registry, ShardResult& out,
+             Rows&& rows) {
+    trace::TraceFilter filter(config);
+    Analyzer analyzer(registry);
+    rows(filter, analyzer);
+    out.report = analyzer.take_report();
+}
+
+/// Runs `body(result)` with failure isolation: a shard that throws
+/// (corrupt input never does; this guards worker failures) degrades to
+/// a counted loss of `lost_events` with one diagnostic at
+/// (line, offset), instead of poisoning the analysis.
+template <class Body>
+ShardResult isolated(const char* what, std::uint64_t line,
+                     std::uint64_t offset, std::size_t lost_events,
+                     Body&& body) {
+    ShardResult r;
+    try {
+        body(r);
+    } catch (const std::exception& e) {
+        r = ShardResult();
+        r.lost = true;
+        r.dropped = lost_events;
+        r.diags.record(line, offset, std::string(what) + e.what());
+    }
+    return r;
 }
 
 }  // namespace
+
+IngestStats& IngestStats::operator+=(const IngestStats& other) {
+    events += other.events;
+    bytes += other.bytes;
+    files += other.files;
+    threads = std::max(threads, other.threads);
+    hot_loop_allocs += other.hot_loop_allocs;
+    seconds += other.seconds;
+    return *this;
+}
 
 IOCov::IOCov(trace::FilterConfig filter_config,
              const std::vector<SyscallSpec>& registry)
     : filter_config_(std::move(filter_config)),
       registry_(&registry),
-      filter_(filter_config_),
+      stream_filter_(filter_config_),
+      shard_filter_(filter_config_),
       analyzer_(registry),
       live_sink_([this](const trace::TraceEvent& ev) { consume(ev); }) {}
 
 void IOCov::consume(const trace::TraceEvent& event) {
-    if (filter_.admit(event)) analyzer_.consume(event);
+    if (stream_filter_.admit(event)) analyzer_.consume(event);
     else ++filtered_out_;
 }
 
@@ -94,357 +164,240 @@ std::size_t IOCov::consume_syz(std::istream& in) {
     return stats.parsed;
 }
 
+std::size_t IOCov::fold(ShardResult&& shard, std::string_view name) {
+    if (shard.report) analyzer_.merge_report(*shard.report);
+    if (shard.lost) ++shards_lost_;
+    filtered_out_ += shard.filtered;
+    if (name.empty()) diagnostics_.merge(shard.diags);
+    else diagnostics_.append(shard.diags, std::string(name) + ": ");
+    ingest_stats_ += shard.stats;
+    return shard.dropped;
+}
+
 std::size_t IOCov::consume_text(std::istream& in) {
-    std::size_t dropped = 0;
-    auto events = trace::parse_stream(in, &dropped, &diagnostics_);
-    consume_all(events);
-    return dropped;
-}
-
-std::size_t IOCov::consume_binary(std::string_view data) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto scan = trace::scan_ioct(data);
-    const auto bindings = analyzer_.table().bind_all(scan.strings);
-    const auto scope = filter_.bind(scan.strings);
-    trace::ParseDiagnostics decode_diags;
-    const IngestOutcome outcome =
-        ingest_refs(data, scan.strings, scan.events.data(),
-                    scan.events.size(), bindings, scope, filter_, analyzer_,
-                    batch_, scratch_, decode_diags);
-    filtered_out_ += outcome.filtered;
-    diagnostics_.merge(scan.diags);
-    diagnostics_.merge(decode_diags);
-
-    ingest_stats_.events += outcome.events;
-    ingest_stats_.bytes += data.size();
-    ingest_stats_.hot_loop_allocs += outcome.allocs;
-    ingest_stats_.seconds += seconds_since(t0);
-    return scan.dropped + outcome.dropped;
-}
-
-std::size_t IOCov::consume_binary_parallel(std::string_view data,
-                                           unsigned n_threads) {
-    if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    if (n_threads <= 1) return consume_binary(data);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto scan = trace::scan_ioct(data);
-    const auto bindings = analyzer_.table().bind_all(scan.strings);
-    const auto scope = filter_.bind(scan.strings);
-
-    // Shard record references (not events) by pid.  Scan order is file
-    // order, so each pid's event order — the only ordering the stateful
-    // filter depends on — is preserved inside its shard.
-    std::vector<std::vector<trace::EventRef>> shards(n_threads);
-    if (scan.footer) {
-        // The footer's per-pid counts size each shard exactly.
-        std::vector<std::size_t> sizes(n_threads, 0);
-        for (const auto& [pid, count] : scan.footer->pid_events)
-            sizes[pid % n_threads] += count;
-        for (unsigned s = 0; s < n_threads; ++s) shards[s].reserve(sizes[s]);
-    } else {
-        for (auto& shard : shards)
-            shard.reserve(scan.events.size() / n_threads + 1);
-    }
-    for (const auto& ref : scan.events)
-        shards[ref.pid % n_threads].push_back(ref);
-
-    exec::ThreadPool pool(n_threads);
-    std::vector<CoverageReport> reports(shards.size());
-    std::vector<IngestOutcome> outcomes(shards.size());
-    std::vector<trace::ParseDiagnostics> shard_diags(shards.size());
-    std::vector<std::uint8_t> shard_ok(shards.size(), 1);
-    exec::parallel_for(pool, shards.size(), [&](std::size_t s) {
-        // Error isolation: a shard that fails outright (the catch below;
-        // corrupt records are handled per-record and never throw) is
-        // degraded to a counted loss instead of poisoning the analysis.
-        try {
-            trace::TraceFilter filter(filter_config_);
-            Analyzer analyzer(*registry_);
-            trace::EventBatch batch;
-            trace::EventScratch scratch;
-            outcomes[s] = ingest_refs(data, scan.strings, shards[s].data(),
-                                      shards[s].size(), bindings, scope,
-                                      filter, analyzer, batch, scratch,
-                                      shard_diags[s]);
-            reports[s] = analyzer.take_report();
-        } catch (const std::exception& e) {
-            shard_ok[s] = 0;
-            outcomes[s] = IngestOutcome{};
-            outcomes[s].dropped = shards[s].size();
-            shard_diags[s].clear();
-            shard_diags[s].record(
-                0, shards[s].empty() ? 0 : shards[s].front().offset,
-                std::string("shard lost: ") + e.what());
-        }
-    });
-
-    std::size_t total_dropped = scan.dropped;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (shard_ok[s]) analyzer_.merge_report(reports[s]);
-        else ++shards_lost_;
-        filtered_out_ += outcomes[s].filtered;
-        diagnostics_.merge(shard_diags[s]);
-        total_dropped += outcomes[s].dropped;
-        ingest_stats_.events += outcomes[s].events;
-        ingest_stats_.hot_loop_allocs += outcomes[s].allocs;
-    }
-    diagnostics_.merge(scan.diags);
-    ingest_stats_.bytes += data.size();
-    ingest_stats_.threads = std::max(ingest_stats_.threads, n_threads);
-    ingest_stats_.seconds += seconds_since(t0);
-    return total_dropped;
-}
-
-std::optional<std::size_t> IOCov::consume_binary_file(const std::string& path,
-                                                      unsigned n_threads) {
-    auto mapped = trace::MappedFile::open(path);
-    if (!mapped) return std::nullopt;
-    ++ingest_stats_.files;
-    return n_threads == 1 ? consume_binary(mapped->data())
-                          : consume_binary_parallel(mapped->data(),
-                                                    n_threads);
-}
-
-std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
-    const std::string& dir, unsigned n_threads) {
-    namespace fs = std::filesystem;
-    const auto t0 = std::chrono::steady_clock::now();
-
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec) || ec) return std::nullopt;
-    struct FileEntry {
-        std::string path;
-        std::string name;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<FileEntry> files;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        std::error_code fec;
-        if (!it->is_regular_file(fec) || fec) continue;
-        FileEntry fe;
-        fe.path = it->path().string();
-        fe.name = it->path().filename().string();
-        const auto size = it->file_size(fec);
-        fe.bytes = fec ? 0 : static_cast<std::uint64_t>(size);
-        files.push_back(std::move(fe));
-    }
-    if (ec) return std::nullopt;
-    // Name order fixes the merge order (and therefore which diagnostics
-    // survive retention) independent of directory-entry order.
-    std::sort(files.begin(), files.end(),
-              [](const FileEntry& a, const FileEntry& b) {
-                  return a.name < b.name;
-              });
-
-    // Per-file slots, filled by workers in any order and folded in name
-    // order afterwards so the result is independent of scheduling.
-    struct FileResult {
-        enum class Status { Unreadable, NotIoct, Failed, Analyzed };
-        Status status = Status::Unreadable;
-        std::string fail_reason;
-        CoverageReport report;
-        trace::ParseDiagnostics diags;
-        IngestOutcome outcome;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<FileResult> slots(files.size());
-
-    auto run_file = [&](std::size_t i) {
-        FileResult& slot = slots[i];
-        try {
-            auto mapped = trace::MappedFile::open(files[i].path);
-            if (!mapped) return;  // stays Unreadable
-            const std::string_view data = mapped->data();
-            if (!trace::is_ioct(data)) {
-                slot.status = FileResult::Status::NotIoct;
-                return;
-            }
-            const auto scan = trace::scan_ioct(data);
-            const auto bindings = analyzer_.table().bind_all(scan.strings);
-            trace::TraceFilter filter(filter_config_);
-            const auto scope = filter.bind(scan.strings);
-            Analyzer analyzer(*registry_);
-            trace::EventBatch batch;
-            trace::EventScratch scratch;
-            slot.diags.merge(scan.diags);
-            slot.outcome = ingest_refs(data, scan.strings,
-                                       scan.events.data(),
-                                       scan.events.size(), bindings, scope,
-                                       filter, analyzer, batch, scratch,
-                                       slot.diags);
-            slot.outcome.dropped += scan.dropped;
-            slot.report = analyzer.take_report();
-            slot.bytes = data.size();
-            slot.status = FileResult::Status::Analyzed;
-        } catch (const std::exception& e) {
-            slot.status = FileResult::Status::Failed;
-            slot.fail_reason = e.what();
-        }
-    };
-
-    if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    const unsigned lanes = static_cast<unsigned>(
-        std::min<std::size_t>(n_threads, files.size() ? files.size() : 1));
-    if (lanes <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i) run_file(i);
-    } else {
-        exec::ThreadPool pool(lanes);
-        std::vector<std::uint64_t> weights(files.size());
-        for (std::size_t i = 0; i < files.size(); ++i)
-            weights[i] = files[i].bytes;
-        exec::parallel_for_stealing(pool, weights, run_file);
-    }
-
-    DirIngest result;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        FileResult& slot = slots[i];
-        const std::string& name = files[i].name;
-        switch (slot.status) {
-            case FileResult::Status::Unreadable:
-                ++result.rejected;
-                diagnostics_.record(0, 0, name + ": cannot open file");
-                break;
-            case FileResult::Status::NotIoct:
-                ++result.rejected;
-                diagnostics_.record(
-                    0, 0, name + ": not an IOCT file (bad magic/version)");
-                break;
-            case FileResult::Status::Failed:
-                ++shards_lost_;
-                diagnostics_.record(
-                    0, 0, name + ": file analysis lost: " + slot.fail_reason);
-                break;
-            case FileResult::Status::Analyzed: {
-                analyzer_.merge_report(slot.report);
-                filtered_out_ += slot.outcome.filtered;
-                ++result.files;
-                result.dropped += slot.outcome.dropped;
-                result.bytes += slot.bytes;
-                // Re-key the file's diagnostics by file name; entries
-                // beyond its retention cap fold into the count.
-                for (const auto& d : slot.diags.entries())
-                    diagnostics_.record(d.line, d.offset,
-                                        name + ": " + d.reason, d.excerpt);
-                diagnostics_.count_only(slot.diags.total() -
-                                        slot.diags.entries().size());
-                ingest_stats_.events += slot.outcome.events;
-                ingest_stats_.hot_loop_allocs += slot.outcome.allocs;
-                break;
-            }
-        }
-    }
-    ingest_stats_.files += result.files;
-    ingest_stats_.bytes += result.bytes;
-    ingest_stats_.threads = std::max(ingest_stats_.threads, lanes);
-    ingest_stats_.seconds += seconds_since(t0);
-    return result;
+    return consume_text_parallel(in, 1);
 }
 
 std::size_t IOCov::consume_text_parallel(std::istream& in,
                                          unsigned n_threads) {
-    if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    if (n_threads <= 1) return consume_text(in);
-
+    const auto t0 = std::chrono::steady_clock::now();
+    const unsigned lanes = lanes_for(n_threads);
     // Chunking needs random access to line boundaries, so slurp the
-    // stream once (the serial path also materializes every event).
+    // stream once (the events it parses into are larger anyway).
     const std::string text{std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>()};
-    // More chunks than workers so one expensive chunk can't serialize
-    // the tail of the parse stage.
-    const auto chunks = trace::split_line_chunks(text, n_threads * 4);
+    // More chunks than lanes so one expensive chunk can't serialize the
+    // tail of the parse stage.
+    const auto chunks =
+        trace::split_line_chunks(text, lanes == 1 ? 1 : lanes * 4);
 
     // Position each chunk within the whole input so diagnostics carry
     // file-absolute line numbers and byte offsets.
     std::vector<std::uint64_t> first_line(chunks.size(), 1);
-    std::vector<std::uint64_t> base_offset(chunks.size(), 0);
     std::vector<std::uint64_t> line_count(chunks.size(), 0);
     for (std::size_t i = 0; i < chunks.size(); ++i) {
-        base_offset[i] =
-            static_cast<std::uint64_t>(chunks[i].data() - text.data());
         line_count[i] = static_cast<std::uint64_t>(
             std::count(chunks[i].begin(), chunks[i].end(), '\n'));
         if (!chunks[i].empty() && chunks[i].back() != '\n') ++line_count[i];
         if (i + 1 < chunks.size())
             first_line[i + 1] = first_line[i] + line_count[i];
     }
+    auto base_offset = [&](std::size_t i) {
+        return static_cast<std::uint64_t>(chunks[i].data() - text.data());
+    };
 
-    exec::ThreadPool pool(n_threads);
     std::vector<std::vector<trace::TraceEvent>> parsed(chunks.size());
-    std::vector<std::size_t> dropped(chunks.size(), 0);
-    std::vector<trace::ParseDiagnostics> chunk_diags(chunks.size());
-    std::vector<std::uint8_t> chunk_ok(chunks.size(), 1);
-    exec::parallel_for(pool, chunks.size(), [&](std::size_t i) {
-        // Error isolation: a chunk whose parse fails outright degrades
-        // to "every line dropped", not a poisoned analysis.  Malformed
-        // lines never throw — this guards worker failures.
-        try {
-            parsed[i] = trace::parse_chunk(chunks[i], &dropped[i],
-                                           &chunk_diags[i], first_line[i],
-                                           base_offset[i]);
-        } catch (const std::exception& e) {
-            chunk_ok[i] = 0;
-            parsed[i].clear();
-            dropped[i] = line_count[i];
-            chunk_diags[i].clear();
-            chunk_diags[i].record(first_line[i], base_offset[i],
-                                  std::string("chunk lost: ") + e.what());
-        }
-    });
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-        if (!chunk_ok[i]) ++shards_lost_;
-        diagnostics_.merge(chunk_diags[i]);
-    }
+    std::vector<ShardResult> parses(chunks.size());
+    exec::parallel_for_stealing(
+        lanes, std::vector<std::uint64_t>(chunks.size(), 1),
+        [&](std::size_t i) {
+            parses[i] = isolated(
+                "chunk lost: ", first_line[i], base_offset(i), line_count[i],
+                [&](ShardResult& r) {
+                    parsed[i] = trace::parse_chunk(chunks[i], &r.dropped,
+                                                   &r.diags, first_line[i],
+                                                   base_offset(i));
+                });
+        });
+    std::size_t dropped = 0;
+    for (auto& r : parses) dropped += fold(std::move(r));
 
     // Re-shard by pid.  Scanning the chunks in order preserves each
     // pid's trace order, which is the only ordering the stateful filter
     // (per-pid fd watches and cwd) depends on.
-    std::vector<std::vector<trace::TraceEvent>> shards(n_threads);
+    std::vector<std::vector<trace::TraceEvent>> shards(lanes);
     std::size_t total_events = 0;
     for (const auto& chunk_events : parsed) total_events += chunk_events.size();
-    for (auto& shard : shards) shard.reserve(total_events / n_threads + 1);
+    for (auto& shard : shards) shard.reserve(total_events / lanes + 1);
     for (auto& chunk_events : parsed) {
         for (auto& ev : chunk_events)
-            shards[ev.pid % n_threads].push_back(std::move(ev));
+            shards[ev.pid % lanes].push_back(std::move(ev));
         chunk_events.clear();
     }
 
-    std::vector<CoverageReport> reports(shards.size());
-    std::vector<std::uint64_t> shard_filtered(shards.size(), 0);
-    std::vector<std::size_t> shard_lost_events(shards.size(), 0);
-    std::vector<trace::ParseDiagnostics> shard_diags(shards.size());
-    std::vector<std::uint8_t> shard_ok(shards.size(), 1);
-    exec::parallel_for(pool, shards.size(), [&](std::size_t s) {
-        try {
-            trace::TraceFilter filter(filter_config_);
-            Analyzer analyzer(*registry_);
-            for (const auto& ev : shards[s]) {
-                if (filter.admit(ev)) analyzer.consume(ev);
-                else ++shard_filtered[s];
-            }
-            reports[s] = analyzer.take_report();
-        } catch (const std::exception& e) {
-            shard_ok[s] = 0;
-            shard_filtered[s] = 0;
-            shard_lost_events[s] = shards[s].size();
-            shard_diags[s].record(0, 0,
-                                  std::string("shard lost: ") + e.what());
-        }
-    });
+    std::vector<ShardResult> results(lanes);
+    exec::parallel_for_stealing(
+        lanes, std::vector<std::uint64_t>(lanes, 1), [&](std::size_t s) {
+            results[s] = isolated(
+                "shard lost: ", 0, 0, shards[s].size(), [&](ShardResult& r) {
+                    run_own(filter_config_, *registry_, r,
+                            [&](trace::TraceFilter& f, Analyzer& a) {
+                                analyze_events(shards[s], f, a, r);
+                            });
+                });
+        });
+    for (auto& r : results) dropped += fold(std::move(r));
 
-    // Shard-merge order is irrelevant to the result (histogram row order
-    // is canonical), but iterate in shard order anyway for clarity.
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (shard_ok[s]) analyzer_.merge_report(reports[s]);
-        else ++shards_lost_;
-        filtered_out_ += shard_filtered[s];
-        diagnostics_.merge(shard_diags[s]);
+    ShardResult call;
+    call.stats.bytes = text.size();
+    call.stats.threads = lanes;
+    call.stats.seconds = seconds_since(t0);
+    fold(std::move(call));
+    return dropped;
+}
+
+std::size_t IOCov::consume_binary(std::string_view data) {
+    return consume_binary_parallel(data, 1);
+}
+
+std::size_t IOCov::consume_binary_parallel(std::string_view data,
+                                           unsigned n_threads) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const unsigned lanes = lanes_for(n_threads);
+    auto scan = trace::scan_ioct(data);
+    const RefTable table{data, scan.strings,
+                         analyzer_.table().bind_all(scan.strings),
+                         shard_filter_.bind(scan.strings)};
+
+    // The call's own share: scan-stage drops, bytes, lanes, wall time.
+    ShardResult call;
+    call.dropped = scan.dropped;
+    call.diags = std::move(scan.diags);
+    call.stats.bytes = data.size();
+    call.stats.threads = lanes;
+    std::size_t dropped = 0;
+    if (lanes == 1) {
+        // One lane analyzes in place — the IOCov's own analyzer and
+        // decode scratch, and a shard filter reset with capacity kept —
+        // which is what keeps repeated ingestion allocation-free.  A
+        // failure here propagates: there is no shard report to discard.
+        shard_filter_.reset();
+        analyze_refs(table, scan.events.data(), scan.events.size(),
+                     shard_filter_, analyzer_, batch_, scratch_, call);
+    } else {
+        // Shard record references (not events) by pid.  Scan order is
+        // file order, so each pid's event order is preserved inside its
+        // shard.  The footer's per-pid counts, when present, size each
+        // shard exactly.
+        std::vector<std::vector<trace::EventRef>> shards(lanes);
+        if (scan.footer) {
+            std::vector<std::size_t> sizes(lanes, 0);
+            for (const auto& [pid, count] : scan.footer->pid_events)
+                sizes[pid % lanes] += count;
+            for (unsigned s = 0; s < lanes; ++s) shards[s].reserve(sizes[s]);
+        }
+        for (const auto& ref : scan.events)
+            shards[ref.pid % lanes].push_back(ref);
+
+        std::vector<ShardResult> results(lanes);
+        exec::parallel_for_stealing(
+            lanes, std::vector<std::uint64_t>(lanes, 1), [&](std::size_t s) {
+                const auto& refs = shards[s];
+                results[s] = isolated(
+                    "shard lost: ", 0, refs.empty() ? 0 : refs.front().offset,
+                    refs.size(), [&](ShardResult& r) {
+                        run_own(filter_config_, *registry_, r,
+                                [&](trace::TraceFilter& f, Analyzer& a) {
+                                    trace::EventBatch batch;
+                                    trace::EventScratch scratch;
+                                    analyze_refs(table, refs.data(),
+                                                 refs.size(), f, a, batch,
+                                                 scratch, r);
+                                });
+                    });
+            });
+        for (auto& r : results) dropped += fold(std::move(r));
     }
-    std::size_t total_dropped = 0;
-    for (const auto d : dropped) total_dropped += d;
-    for (const auto d : shard_lost_events) total_dropped += d;
-    return total_dropped;
+    call.stats.seconds = seconds_since(t0);
+    return dropped + fold(std::move(call));
+}
+
+std::optional<std::size_t> IOCov::consume_binary_file(const std::string& path,
+                                                      unsigned n_threads) {
+    auto mapped = trace::MappedFile::open(path);
+    if (!mapped) return std::nullopt;
+    ShardResult opened;
+    opened.stats.files = 1;
+    fold(std::move(opened));
+    return consume_binary_parallel(mapped->data(), n_threads);
+}
+
+std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
+    const std::string& dir, unsigned n_threads) {
+    const auto files = host::list_dir(dir);
+    if (!files) return std::nullopt;
+    return consume_binary_files(*files, n_threads);
+}
+
+IOCov::DirIngest IOCov::consume_binary_files(
+    std::span<const host::DirFile> files, unsigned n_threads) {
+    const auto t0 = std::chrono::steady_clock::now();
+    // Per-file slots, filled by lanes in any order and folded in the
+    // given order afterwards so the result is independent of
+    // scheduling.
+    std::vector<ShardResult> results(files.size());
+    auto run_file = [&](std::size_t i) {
+        results[i] = isolated("file analysis lost: ", 0, 0, 0,
+                              [&](ShardResult& r) {
+            auto mapped = trace::MappedFile::open(files[i].path);
+            const std::string_view data =
+                mapped ? mapped->data() : std::string_view();
+            if (!mapped || !trace::is_ioct(data)) {
+                r.rejected = true;
+                r.diags.record(0, 0,
+                               mapped ? "not an IOCT file (bad magic/version)"
+                                      : "cannot open file");
+                return;
+            }
+            const auto scan = trace::scan_ioct(data);
+            const RefTable table{data, scan.strings,
+                                 analyzer_.table().bind_all(scan.strings),
+                                 shard_filter_.bind(scan.strings)};
+            r.diags.merge(scan.diags);
+            r.dropped = scan.dropped;
+            r.stats.files = 1;
+            r.stats.bytes = data.size();
+            run_own(filter_config_, *registry_, r,
+                    [&](trace::TraceFilter& f, Analyzer& a) {
+                        trace::EventBatch batch;
+                        trace::EventScratch scratch;
+                        analyze_refs(table, scan.events.data(),
+                                     scan.events.size(), f, a, batch,
+                                     scratch, r);
+                    });
+        });
+    };
+    std::vector<std::uint64_t> weights(files.size());
+    for (std::size_t i = 0; i < files.size(); ++i) weights[i] = files[i].bytes;
+    exec::parallel_for_stealing(n_threads, weights, run_file);
+
+    DirIngest result;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        ShardResult& r = results[i];
+        if (r.rejected) {
+            ++result.rejected;
+        } else if (!r.lost) {
+            ++result.files;
+            result.bytes += r.stats.bytes;
+        }
+        result.dropped += fold(std::move(r), files[i].name);
+    }
+    ShardResult call;
+    call.stats.threads = static_cast<unsigned>(std::min<std::size_t>(
+        lanes_for(n_threads), std::max<std::size_t>(files.size(), 1)));
+    call.stats.seconds = seconds_since(t0);
+    fold(std::move(call));
+    return result;
 }
 
 void IOCov::merge(const IOCov& other) {
@@ -452,28 +405,23 @@ void IOCov::merge(const IOCov& other) {
     filtered_out_ += other.filtered_out_;
     shards_lost_ += other.shards_lost_;
     diagnostics_.merge(other.diagnostics_);
-    ingest_stats_.events += other.ingest_stats_.events;
-    ingest_stats_.bytes += other.ingest_stats_.bytes;
-    ingest_stats_.files += other.ingest_stats_.files;
-    ingest_stats_.threads =
-        std::max(ingest_stats_.threads, other.ingest_stats_.threads);
-    ingest_stats_.hot_loop_allocs += other.ingest_stats_.hot_loop_allocs;
-    ingest_stats_.seconds += other.ingest_stats_.seconds;
+    ingest_stats_ += other.ingest_stats_;
 }
 
 void IOCov::merge(const IOCovSnapshot& snapshot) {
-    analyzer_.merge_report(snapshot.report);
-    filtered_out_ += snapshot.filtered_out;
     // The producer's per-record reasons are not serialized, only the
     // count — fold it in without displacing locally retained entries.
-    diagnostics_.count_only(snapshot.dropped);
-    ingest_stats_.events += snapshot.ingest.events;
-    ingest_stats_.bytes += snapshot.ingest.bytes;
-    ingest_stats_.files += snapshot.ingest.files;
-    ingest_stats_.threads =
-        std::max(ingest_stats_.threads, snapshot.ingest.threads);
-    ingest_stats_.hot_loop_allocs += snapshot.ingest.hot_loop_allocs;
-    ingest_stats_.seconds += snapshot.ingest.seconds;
+    trace::ParseDiagnostics count;
+    count.count_only(snapshot.dropped);
+    merge(snapshot, count);
+}
+
+void IOCov::merge(const IOCovSnapshot& snapshot,
+                  const trace::ParseDiagnostics& diags) {
+    analyzer_.merge_report(snapshot.report);
+    filtered_out_ += snapshot.filtered_out;
+    diagnostics_.append(diags);
+    ingest_stats_ += snapshot.ingest;
 }
 
 IOCovSnapshot IOCov::snapshot() const {

@@ -27,13 +27,12 @@ LiveCoverage::PushResult LiveCoverage::push(const std::string& name,
     std::lock_guard<std::mutex> lock(writer_mu_);
     if (seen_.count(name))
         return {false, static_cast<std::uint64_t>(order_.size()), 0, 0};
-    // Fresh filter + analyzer per shard: fd state never crosses shards,
-    // exactly as in consume_binary_dir, which is what makes the merged
-    // result independent of push order.
+    // One shard, exactly like one file of consume_binary_dir (the shard
+    // rule, core/iocov.hpp): the merged result is independent of push
+    // order.
     auto shard = fresh();
     const std::size_t dropped =
-        n_threads == 1 ? shard->consume_binary(ioct)
-                       : shard->consume_binary_parallel(ioct, n_threads);
+        shard->consume_binary_parallel(ioct, n_threads);
     const std::uint64_t events = shard->ingest_stats().events;
     acc_->merge(*shard);
     delta_->merge(*shard);

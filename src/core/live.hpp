@@ -62,8 +62,8 @@ class LiveCoverage {
                           const std::vector<SyscallSpec>& registry =
                               syscall_registry());
 
-    /// Analyzes one IOCT shard (fresh filter + analyzer, exactly like
-    /// one file of a batch dir ingest) and merges it in.  A name that
+    /// Analyzes one IOCT shard (empty filter state, exactly like one
+    /// file of a batch dir ingest) and merges it in.  A name that
     /// was already consumed is skipped (accepted == false) — pushes are
     /// idempotent by name.  `n_threads` > 1 decodes the shard on the
     /// parallel path (bit-identical to serial).  Thread-safe.

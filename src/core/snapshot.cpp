@@ -3,101 +3,29 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <filesystem>
 #include <unordered_map>
 
 #include "core/untested.hpp"
 #include "exec/thread_pool.hpp"
 #include "host/io.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/detail/varint_decode.hpp"
+#include "trace/detail/wire.hpp"
 
 namespace iocov::core {
 namespace {
 
 // ---- wire helpers ----------------------------------------------------------
 //
-// Same varint grammar as IOCT: writes are plain LEB128, reads go
-// through the shared reader policies of trace/detail/varint_decode.hpp
-// so the snapshot loader rides the same SWAR 8-byte fast path (scalar
-// on big-endian targets) the batched event decoder uses — and inherits
-// its truncation and 10th-byte rules verbatim.
+// Same varint grammar and reader as IOCT (trace/detail/wire.hpp), so
+// the snapshot loader inherits its truncation and 10th-byte rules
+// verbatim.
 
-void put_varint(std::string& out, std::uint64_t v) {
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(v | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
-void put_u32le(std::string& out, std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void put_u64le(std::string& out, std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-std::uint32_t read_u32le(const char* p) {
-    const auto* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(u[0]) |
-           static_cast<std::uint32_t>(u[1]) << 8 |
-           static_cast<std::uint32_t>(u[2]) << 16 |
-           static_cast<std::uint32_t>(u[3]) << 24;
-}
-
-std::uint64_t read_u64le(const char* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-/// Bounds-checked reader over one record payload; varints dispatch to
-/// the SWAR policy on little-endian targets, scalar otherwise.
-struct PayloadCursor {
-    const unsigned char* p;
-    const unsigned char* const rec_end;
-    const unsigned char* const buf_end;  ///< wide-load bound (whole file)
-
-    PayloadCursor(std::string_view payload, std::string_view file)
-        : p(reinterpret_cast<const unsigned char*>(payload.data())),
-          rec_end(p + payload.size()),
-          buf_end(reinterpret_cast<const unsigned char*>(file.data()) +
-                  file.size()) {}
-
-    bool done() const { return p == rec_end; }
-
-    bool read_u8(std::uint8_t& out) {
-        if (p == rec_end) return false;
-        out = *p++;
-        return true;
-    }
-
-    bool read_varint(std::uint64_t& out) {
-        if constexpr (std::endian::native == std::endian::little)
-            return trace::detail::SwarVarintReader::read(p, rec_end, buf_end,
-                                                         out);
-        else
-            return trace::detail::ScalarVarintReader::read(p, rec_end,
-                                                           buf_end, out);
-    }
-};
-
-/// FNV-1a 64 over the encoded bytes — the footer's torn-tail/corruption
-/// detector.  Not cryptographic; it only needs to make truncation and
-/// bit flips loudly detectable.
-std::uint64_t fnv1a64(std::string_view data) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+using trace::detail::fnv1a64;
+using trace::detail::put_u32le;
+using trace::detail::put_u64le;
+using trace::detail::put_varint;
+using trace::detail::read_u32le;
+using trace::detail::ByteCursor;
 
 std::string iocs_header() {
     std::string h(kIocsHeaderSize, '\0');
@@ -165,7 +93,7 @@ bool fail(SnapshotError* err, SnapshotError::Kind kind, std::uint64_t offset,
     return false;
 }
 
-bool read_histogram(PayloadCursor& c,
+bool read_histogram(ByteCursor& c,
                     const std::vector<std::string_view>& strings,
                     stats::PartitionHistogram& out) {
     std::uint64_t rows = 0, declared = 0;
@@ -211,12 +139,7 @@ void IOCovSnapshot::merge(const IOCovSnapshot& other) {
     report.merge(other.report);
     filtered_out += other.filtered_out;
     dropped += other.dropped;
-    ingest.events += other.ingest.events;
-    ingest.bytes += other.ingest.bytes;
-    ingest.files += other.ingest.files;
-    ingest.threads = std::max(ingest.threads, other.ingest.threads);
-    ingest.hot_loop_allocs += other.ingest.hot_loop_allocs;
-    ingest.seconds += other.ingest.seconds;
+    ingest += other.ingest;
     if (label != other.label) label.clear();
     timestamp = std::max(timestamp, other.timestamp);
 }
@@ -344,7 +267,7 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
         }
         const std::string_view payload = data.substr(pos, len);
         pos += len;
-        PayloadCursor c(payload.substr(1), data);
+        ByteCursor c(payload.substr(1));
         switch (static_cast<IocsTag>(payload[0])) {
             case IocsTag::Str:
                 strings.push_back(payload.substr(1));
@@ -361,13 +284,7 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                           c.read_varint(snap.ingest.files) &&
                           c.read_varint(threads) && threads <= UINT32_MAX &&
                           c.read_varint(snap.ingest.hot_loop_allocs);
-                if (ok && c.rec_end - c.p >= 8) {
-                    seconds_bits = read_u64le(
-                        reinterpret_cast<const char*>(c.p));
-                    c.p += 8;
-                } else {
-                    ok = false;
-                }
+                ok = ok && c.read_u64le(seconds_bits);
                 ok = ok && c.read_varint(label_id) &&
                      label_id < strings.size() &&
                      c.read_varint(snap.timestamp) && c.done();
@@ -431,12 +348,7 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                 std::uint64_t checksum = 0;
                 bool ok = c.read_varint(footer_inputs) &&
                           c.read_varint(footer_outputs);
-                if (ok && c.rec_end - c.p >= 8) {
-                    checksum = read_u64le(reinterpret_cast<const char*>(c.p));
-                    c.p += 8;
-                } else {
-                    ok = false;
-                }
+                ok = ok && c.read_u64le(checksum);
                 if (!ok || !c.done()) {
                     fail(err, Kind::Corrupt, record_start,
                          "malformed footer record");
@@ -511,34 +423,11 @@ std::optional<IOCovSnapshot> load_snapshot_file(const std::string& path,
 
 std::optional<SnapshotDirLoad> load_snapshot_dir(const std::string& dir,
                                                  unsigned n_threads) {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec) || ec) return std::nullopt;
-
-    struct FileEntry {
-        std::string path;
-        std::string name;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<FileEntry> files;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        std::error_code fec;
-        if (!it->is_regular_file(fec) || fec) continue;
-        FileEntry fe;
-        fe.path = it->path().string();
-        fe.name = it->path().filename().string();
-        const auto size = it->file_size(fec);
-        fe.bytes = fec ? 0 : static_cast<std::uint64_t>(size);
-        files.push_back(std::move(fe));
-    }
-    if (ec) return std::nullopt;
     // Name order is the deterministic key for everything downstream:
     // which diagnostics survive retention and the merge-tree leaf order.
-    std::sort(files.begin(), files.end(),
-              [](const FileEntry& a, const FileEntry& b) {
-                  return a.name < b.name;
-              });
+    const auto listing = host::list_dir(dir);
+    if (!listing) return std::nullopt;
+    const auto& files = *listing;
 
     struct Slot {
         std::optional<IOCovSnapshot> snapshot;
@@ -567,18 +456,9 @@ std::optional<SnapshotDirLoad> load_snapshot_dir(const std::string& dir,
         }
     };
 
-    if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    const unsigned lanes = static_cast<unsigned>(
-        std::min<std::size_t>(n_threads, files.size() ? files.size() : 1));
-    if (lanes <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i) load_one(i);
-    } else {
-        exec::ThreadPool pool(lanes);
-        std::vector<std::uint64_t> weights(files.size());
-        for (std::size_t i = 0; i < files.size(); ++i)
-            weights[i] = files[i].bytes;
-        exec::parallel_for_stealing(pool, weights, load_one);
-    }
+    std::vector<std::uint64_t> weights(files.size());
+    for (std::size_t i = 0; i < files.size(); ++i) weights[i] = files[i].bytes;
+    exec::parallel_for_stealing(n_threads, weights, load_one);
 
     SnapshotDirLoad result;
     for (std::size_t i = 0; i < files.size(); ++i) {

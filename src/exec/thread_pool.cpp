@@ -36,11 +36,6 @@ void ThreadPool::submit(std::function<void()> job) {
     work_cv_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
     for (;;) {
         std::function<void()> job;
@@ -50,47 +45,9 @@ void ThreadPool::worker_loop() {
             if (queue_.empty()) return;  // stop_ and drained
             job = std::move(queue_.front());
             queue_.pop_front();
-            ++active_;
         }
         job();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --active_;
-            if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-        }
     }
-}
-
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    struct Latch {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::size_t remaining;
-        std::exception_ptr first_error;
-    };
-    // Shared, not stack-referenced: submit() callers may outlive scopes
-    // in odd shutdown paths, and shared_ptr keeps the contract simple.
-    auto latch = std::make_shared<Latch>();
-    latch->remaining = n;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.submit([latch, &fn, i] {
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(latch->mu);
-                if (!latch->first_error)
-                    latch->first_error = std::current_exception();
-            }
-            std::lock_guard<std::mutex> lock(latch->mu);
-            if (--latch->remaining == 0) latch->cv.notify_all();
-        });
-    }
-    std::unique_lock<std::mutex> lock(latch->mu);
-    latch->cv.wait(lock, [&] { return latch->remaining == 0; });
-    if (latch->first_error) std::rethrow_exception(latch->first_error);
 }
 
 void parallel_for_stealing(ThreadPool& pool,
@@ -99,8 +56,12 @@ void parallel_for_stealing(ThreadPool& pool,
     const std::size_t n = weights.size();
     if (n == 0) return;
 
+    // Shared, not stack-referenced, so the lane jobs own what they
+    // touch; the caller still blocks until every lane has finished.
     struct Shared {
         std::mutex mu;
+        std::condition_variable done;
+        std::size_t running = 0;  // lanes not yet finished
         std::vector<std::deque<std::size_t>> lane_items;
         std::vector<std::uint64_t> lane_load;  // queued (unstarted) weight
         std::vector<std::uint64_t> item_weight;
@@ -109,6 +70,7 @@ void parallel_for_stealing(ThreadPool& pool,
     auto shared = std::make_shared<Shared>();
     const std::size_t lanes =
         std::min<std::size_t>(pool.size() ? pool.size() : 1, n);
+    shared->running = lanes;
     shared->lane_items.resize(lanes);
     shared->lane_load.assign(lanes, 0);
     shared->item_weight.resize(n);
@@ -152,7 +114,7 @@ void parallel_for_stealing(ThreadPool& pool,
                             shared->lane_load[l] > shared->lane_load[victim])
                             victim = l;
                     }
-                    if (victim == lane) return;  // everything claimed
+                    if (victim == lane) break;  // everything claimed
                     auto& q = shared->lane_items[victim];
                     item = q.back();
                     q.pop_back();
@@ -167,9 +129,36 @@ void parallel_for_stealing(ThreadPool& pool,
                     shared->first_error = std::current_exception();
             }
         }
+        std::lock_guard<std::mutex> lock(shared->mu);
+        if (--shared->running == 0) shared->done.notify_all();
     };
-    parallel_for(pool, lanes, run_lane);
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+        pool.submit([run_lane, lane] { run_lane(lane); });
+
+    std::unique_lock<std::mutex> lock(shared->mu);
+    shared->done.wait(lock, [&] { return shared->running == 0; });
     if (shared->first_error) std::rethrow_exception(shared->first_error);
+}
+
+void parallel_for_stealing(unsigned n_threads,
+                           const std::vector<std::uint64_t>& weights,
+                           const std::function<void(std::size_t)>& fn) {
+    if (n_threads == 0) n_threads = ThreadPool::default_thread_count();
+    if (n_threads > 1 && weights.size() > 1) {
+        ThreadPool pool(static_cast<unsigned>(
+            std::min<std::size_t>(n_threads, weights.size())));
+        parallel_for_stealing(pool, weights, fn);
+        return;
+    }
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        try {
+            fn(i);
+        } catch (...) {
+            if (!first_error) first_error = std::current_exception();
+        }
+    }
+    if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace iocov::exec

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 
 #include "host/fault.hpp"
@@ -392,6 +393,27 @@ IoStatus read_fd(int fd, std::size_t want, std::string& out, IoPhase phase,
         return IoError{phase, errno, std::move(label), retries};
     }
     return std::nullopt;
+}
+
+std::optional<std::vector<DirFile>> list_dir(const std::string& dir) {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (!fs::is_directory(dir, ec) || ec) return std::nullopt;
+    std::vector<DirFile> files;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        std::error_code fec;
+        if (!it->is_regular_file(fec) || fec) continue;
+        const auto size = it->file_size(fec);
+        files.push_back({it->path().string(), it->path().filename().string(),
+                         fec ? 0 : static_cast<std::uint64_t>(size)});
+    }
+    if (ec) return std::nullopt;
+    std::sort(files.begin(), files.end(),
+              [](const DirFile& a, const DirFile& b) {
+                  return a.name < b.name;
+              });
+    return files;
 }
 
 }  // namespace iocov::host

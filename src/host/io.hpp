@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace iocov::host {
 
@@ -185,5 +186,20 @@ IoStatus read_fd(int fd, std::size_t want, std::string& out,
                  IoPhase phase = IoPhase::SockRead,
                  const RetryPolicy& policy = RetryPolicy::standard(),
                  std::string label = "fd");
+
+// ---- directory listings ----------------------------------------------------
+
+/// One regular file of a directory listing.
+struct DirFile {
+    std::string path;         ///< dir + '/' + name
+    std::string name;         ///< file name within the directory
+    std::uint64_t bytes = 0;  ///< size at listing time (0 if unknown)
+};
+
+/// The regular files directly inside `dir`, sorted by name — the order
+/// every directory walk (analyze, merge, checkpoint) processes and
+/// diagnoses its inputs in, whatever the directory-entry order.
+/// nullopt when `dir` is not a directory or cannot be enumerated.
+std::optional<std::vector<DirFile>> list_dir(const std::string& dir);
 
 }  // namespace iocov::host

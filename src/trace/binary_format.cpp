@@ -6,11 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "host/fault.hpp"
-#include "trace/detail/varint_decode.hpp"
+#include "trace/detail/wire.hpp"
 
 namespace iocov::trace {
 namespace {
@@ -20,64 +19,86 @@ constexpr std::uint8_t kTypeInt = static_cast<std::uint8_t>(ArgType::Int);
 constexpr std::uint8_t kTypeUint = static_cast<std::uint8_t>(ArgType::Uint);
 constexpr std::uint8_t kTypeStr = static_cast<std::uint8_t>(ArgType::Str);
 
-using detail::kMaxArgs;
+using detail::ByteCursor;
+using detail::put_u32le;
+using detail::put_varint;
+using detail::read_u32le;
+
+// A writer-produced event never exceeds a handful of args; anything
+// past this in a file is corruption, not a trace.
+constexpr std::uint64_t kMaxArgs = 64;
 
 constexpr std::size_t kSinkFlushBytes = 64 * 1024;
 
-// --- varints (LEB128; zigzag for signed) ------------------------------------
-
-void put_varint(std::string& out, std::uint64_t v) {
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(v | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
+// Signed varints are zigzag-encoded.
 std::uint64_t zigzag(std::int64_t v) {
     return (static_cast<std::uint64_t>(v) << 1) ^
            static_cast<std::uint64_t>(v >> 63);
 }
 
-std::int64_t unzigzag(std::uint64_t v) { return detail::unzigzag64(v); }
-
-void put_u32le(std::string& out, std::uint32_t v) {
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-    out.push_back(static_cast<char>((v >> 16) & 0xff));
-    out.push_back(static_cast<char>((v >> 24) & 0xff));
+std::int64_t unzigzag(std::uint64_t v) {
+    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-/// Bounds-checked forward reader over a payload.
-struct ByteCursor {
-    const unsigned char* p;
-    const unsigned char* end;
+/// Decodes the EVT record `ref` locates into `out` (SoA append).
+/// Returns nullptr on success; on failure appends nothing (partially
+/// appended args are rolled back) and returns the exact static reason
+/// string decode_event() produces for the same payload.
+const char* decode_ref(const unsigned char* base, const EventRef& ref,
+                       std::size_t string_count, EventBatch& out) {
+    if (ref.length == 0 || static_cast<IoctTag>(base[ref.offset]) !=
+                               IoctTag::Event)
+        return "not an event record";
+    ByteCursor c(std::string_view(
+        reinterpret_cast<const char*>(base) + ref.offset + 1,
+        ref.length - 1));
 
-    explicit ByteCursor(std::string_view s)
-        : p(reinterpret_cast<const unsigned char*>(s.data())),
-          end(p + s.size()) {}
+    std::uint64_t seq = 0, pid = 0, tid = 0, name_id = 0, ret = 0, argc = 0;
+    if (!c.read_varint(seq) || !c.read_varint(pid) || pid > UINT32_MAX ||
+        !c.read_varint(tid) || tid > UINT32_MAX)
+        return "truncated event header";
+    if (!c.read_varint(name_id) || name_id >= string_count)
+        return "syscall name id out of range";
+    if (!c.read_varint(ret)) return "truncated return value";
+    if (!c.read_varint(argc) || argc > kMaxArgs)
+        return "argument count out of range";
 
-    bool done() const { return p == end; }
-
-    bool read_u8(std::uint8_t& out) {
-        if (p == end) return false;
-        out = *p++;
-        return true;
+    const std::size_t arg_begin = out.args.size();
+    auto fail = [&](const char* r) {
+        out.args.resize(arg_begin);
+        return r;
+    };
+    for (std::uint64_t i = 0; i < argc; ++i) {
+        std::uint64_t arg_name = 0, v = 0;
+        std::uint8_t type = 0;
+        if (!c.read_varint(arg_name) || arg_name >= string_count ||
+            !c.read_u8(type) || !c.read_varint(v))
+            return fail("truncated or out-of-range argument");
+        std::uint64_t raw = v;
+        switch (type) {
+            case kTypeInt:
+                raw = static_cast<std::uint64_t>(unzigzag(v));
+                break;
+            case kTypeUint:
+                break;
+            case kTypeStr:
+                if (v >= string_count)
+                    return fail("argument string id out of range");
+                break;
+            default:
+                return fail("unknown argument type byte");
+        }
+        out.args.push_back({raw, static_cast<std::uint32_t>(arg_name),
+                            static_cast<ArgType>(type)});
     }
+    if (!c.done()) return fail("trailing bytes after last argument");
 
-    bool read_varint(std::uint64_t& out) {
-        // One definition of the varint grammar: the batched decoders
-        // share this exact routine as their scalar reference/fallback.
-        return detail::ScalarVarintReader::read(p, end, end, out);
-    }
-};
-
-std::uint32_t read_u32le(const char* p) {
-    const auto* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(u[0]) |
-           static_cast<std::uint32_t>(u[1]) << 8 |
-           static_cast<std::uint32_t>(u[2]) << 16 |
-           static_cast<std::uint32_t>(u[3]) << 24;
+    out.rows.push_back({seq, unzigzag(ret), arg_begin,
+                        static_cast<std::uint32_t>(pid),
+                        static_cast<std::uint32_t>(tid),
+                        static_cast<std::uint32_t>(name_id),
+                        static_cast<std::uint32_t>(argc)});
+    return nullptr;
 }
 
 }  // namespace
@@ -214,23 +235,6 @@ IoctScan scan_ioct(std::string_view data) {
         scan.diags.record(0, offset, reason);
     };
 
-    // The event-header sniff below only needs seq/pid; the SWAR reader
-    // is bit-identical to the scalar one, so use it whenever the target
-    // is little-endian.  buf_end bounds the raw wide load (it may peek
-    // past the record, never past the buffer).
-    const auto* const scan_buf_end =
-        reinterpret_cast<const unsigned char*>(data.data()) + data.size();
-    auto read_header_varint = [scan_buf_end](const unsigned char*& p,
-                                             const unsigned char* rec_end,
-                                             std::uint64_t& out) {
-        if constexpr (std::endian::native == std::endian::little)
-            return detail::SwarVarintReader::read(p, rec_end, scan_buf_end,
-                                                  out);
-        else
-            return detail::ScalarVarintReader::read(p, rec_end, scan_buf_end,
-                                                    out);
-    };
-
     std::size_t pos = kIoctHeaderSize;
     while (pos < data.size()) {
         const std::size_t record_start = pos;
@@ -253,15 +257,11 @@ IoctScan scan_ioct(std::string_view data) {
                 scan.strings.push_back(payload.substr(1));
                 break;
             case IoctTag::Event: {
-                const auto* p = reinterpret_cast<const unsigned char*>(
-                                    payload.data()) +
-                                1;
-                const auto* const rec_end =
-                    reinterpret_cast<const unsigned char*>(payload.data()) +
-                    payload.size();
+                // Only seq and pid are read here; decode_batch does the
+                // rest of the record.
+                ByteCursor c(payload.substr(1));
                 std::uint64_t seq = 0, pid = 0;
-                if (!read_header_varint(p, rec_end, seq) ||
-                    !read_header_varint(p, rec_end, pid) ||
+                if (!c.read_varint(seq) || !c.read_varint(pid) ||
                     pid > UINT32_MAX) {
                     drop(record_start, "truncated event header");
                     break;
@@ -397,72 +397,33 @@ std::vector<TraceEvent> decode_trace(std::string_view data,
 
 // ---- batched decoding ------------------------------------------------------
 
-const char* decode_isa_name(DecodeIsa isa) {
-    switch (isa) {
-        case DecodeIsa::Scalar: return "scalar";
-        case DecodeIsa::Swar: return "swar";
-        case DecodeIsa::Bmi2: return "bmi2";
-    }
-    return "unknown";
-}
+const char* decode_isa_name(DecodeIsa) { return "scalar"; }
 
-bool decode_isa_available(DecodeIsa isa) {
-    switch (isa) {
-        case DecodeIsa::Scalar:
-            return true;
-        case DecodeIsa::Swar:
-            // The 8-byte load + mask trick assumes little-endian byte
-            // order; big-endian targets get the scalar path.
-            return std::endian::native == std::endian::little;
-        case DecodeIsa::Bmi2:
-#if defined(IOCOV_HAVE_BMI2_TU)
-            return __builtin_cpu_supports("bmi2") != 0;
-#else
-            return false;
-#endif
-    }
-    return false;
-}
-
-DecodeIsa active_decode_isa() {
-    static const DecodeIsa kActive = [] {
-        if (decode_isa_available(DecodeIsa::Bmi2)) return DecodeIsa::Bmi2;
-        if (decode_isa_available(DecodeIsa::Swar)) return DecodeIsa::Swar;
-        return DecodeIsa::Scalar;
-    }();
-    return kActive;
-}
-
-std::size_t decode_batch_with(DecodeIsa isa, std::string_view data,
-                              const std::vector<std::string_view>& strings,
-                              const EventRef* refs, std::size_t n,
-                              EventBatch& out, std::size_t* dropped,
-                              ParseDiagnostics* diags) {
-    if (!decode_isa_available(isa)) isa = DecodeIsa::Scalar;
-    switch (isa) {
-        case DecodeIsa::Swar:
-            return detail::decode_refs<detail::SwarVarintReader>(
-                data, strings.size(), refs, n, out, dropped, diags);
-        case DecodeIsa::Bmi2:
-#if defined(IOCOV_HAVE_BMI2_TU)
-            return detail::decode_refs_bmi2(data, strings.size(), refs, n,
-                                            out, dropped, diags);
-#else
-            break;
-#endif
-        case DecodeIsa::Scalar:
-            break;
-    }
-    return detail::decode_refs<detail::ScalarVarintReader>(
-        data, strings.size(), refs, n, out, dropped, diags);
-}
+DecodeIsa active_decode_isa() { return DecodeIsa::Scalar; }
 
 std::size_t decode_batch(std::string_view data,
                          const std::vector<std::string_view>& strings,
                          const EventRef* refs, std::size_t n, EventBatch& out,
                          std::size_t* dropped, ParseDiagnostics* diags) {
-    return decode_batch_with(active_decode_isa(), data, strings, refs, n,
-                             out, dropped, diags);
+    const auto* base = reinterpret_cast<const unsigned char*>(data.data());
+    out.rows.reserve(out.rows.size() + n);
+    std::size_t decoded = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const EventRef& ref = refs[i];
+        // scan_ioct never emits an out-of-bounds ref; guard anyway so a
+        // hand-built ref cannot walk off the buffer.
+        const char* reason =
+            ref.offset > data.size() || ref.length > data.size() - ref.offset
+                ? "not an event record"
+                : decode_ref(base, ref, strings.size(), out);
+        if (reason == nullptr) {
+            ++decoded;
+        } else {
+            if (dropped) ++*dropped;
+            if (diags) diags->record(0, ref.offset, reason);
+        }
+    }
+    return decoded;
 }
 
 // ---- EventScratch ----------------------------------------------------------

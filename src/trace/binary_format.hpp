@@ -206,8 +206,7 @@ std::vector<TraceEvent> decode_trace(std::string_view data,
 // The per-event decode_event() path pays a virtual-free but still
 // per-field-branchy cost per record.  The batched path decodes a span
 // of records into a structure-of-arrays scratch (EventBatch) in one
-// tight loop — tag and bounds checks hoisted, varints read via 8-byte
-// SWAR/PEXT loads where the CPU allows — and defers all string
+// tight loop — tag and bounds checks hoisted — and defers all string
 // materialization to EventScratch, which recycles heap capacity so the
 // steady-state decode -> analyze loop performs zero allocations.
 
@@ -250,17 +249,16 @@ struct EventBatch {
     }
 };
 
-/// Instruction-set variants of the batched decoder.  All are
-/// bit-identical in accepted inputs, outputs, and diagnostics; Swar
-/// (8-byte SWAR loads, any little-endian 64-bit target) and Bmi2
-/// (x86-64 PEXT, selected by a runtime CPU check) are fast paths over
-/// Scalar, the byte-at-a-time reference.
-enum class DecodeIsa { Scalar, Swar, Bmi2 };
+/// The varint kernel the batched decoder runs.  There is one, the
+/// byte-at-a-time scalar reader: wide SWAR and PEXT kernels measured
+/// within noise of it end to end and were removed.  Kept so benchmark
+/// provenance can keep naming the kernel it measured.
+enum class DecodeIsa { Scalar };
 
+/// "scalar".
 const char* decode_isa_name(DecodeIsa isa);
-bool decode_isa_available(DecodeIsa isa);
 
-/// The fastest ISA available on this machine — what decode_batch uses.
+/// The kernel decode_batch uses (always Scalar).
 DecodeIsa active_decode_isa();
 
 /// Batched decode of EVT payloads located by scan_ioct(): appends one
@@ -276,14 +274,6 @@ std::size_t decode_batch(std::string_view data,
                          const EventRef* refs, std::size_t n,
                          EventBatch& out, std::size_t* dropped = nullptr,
                          ParseDiagnostics* diags = nullptr);
-
-/// decode_batch pinned to one ISA (equivalence tests); an unavailable
-/// ISA silently falls back to Scalar.
-std::size_t decode_batch_with(DecodeIsa isa, std::string_view data,
-                              const std::vector<std::string_view>& strings,
-                              const EventRef* refs, std::size_t n,
-                              EventBatch& out, std::size_t* dropped = nullptr,
-                              ParseDiagnostics* diags = nullptr);
 
 /// Materializes EventBatch rows into a reusable TraceEvent with
 /// steady-state-zero allocation: arg-slot strings keep their heap

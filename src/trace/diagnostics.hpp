@@ -53,12 +53,17 @@ class ParseDiagnostics {
     /// every candidate for the global first K survives until the merge.
     void merge(const ParseDiagnostics& other);
 
+    /// Folds another accumulator in as if its drops were recorded here
+    /// after this one's, in order (no re-sort), each reason prefixed
+    /// with `prefix` — how a directory walk keys a file's diagnostics
+    /// by file name.  Entries beyond the retention cap are counted.
+    void append(const ParseDiagnostics& other, std::string_view prefix = {});
+
     /// Total drops recorded, including those beyond the retention cap.
     std::uint64_t total() const { return total_; }
 
-    /// Counts `n` additional drops without retaining entries.  Used
-    /// when folding a per-file accumulator whose overflow beyond its
-    /// own retention cap has no entries left to re-record.
+    /// Counts `n` additional drops without retaining entries (a count
+    /// whose per-record reasons are not available, e.g. a snapshot's).
     void count_only(std::uint64_t n) { total_ += n; }
 
     /// First-K retained diagnostics, in input order.

@@ -180,8 +180,9 @@ std::vector<TraceEvent> TraceFilter::filter(
 }
 
 void TraceFilter::reset() {
-    watched_.clear();
-    cwd_in_scope_.clear();
+    // A cleared set and a false cwd flag mean what an absent pid does.
+    for (auto& [pid, fds] : watched_) fds.clear();
+    for (auto& [pid, in_scope] : cwd_in_scope_) in_scope = false;
 }
 
 std::size_t TraceFilter::watched_fd_count() const {

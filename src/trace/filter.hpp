@@ -98,7 +98,10 @@ class TraceFilter {
     /// events. Resets state first so a filter can be reused.
     std::vector<TraceEvent> filter(const std::vector<TraceEvent>& events);
 
-    /// Forgets all watched fds (e.g. between test-suite runs).
+    /// Forgets all watched fds and cwd scopes (e.g. between shards).
+    /// Clears in place, keeping every per-pid set's capacity, so a
+    /// filter reset between shards over the same pids allocates
+    /// nothing.
     void reset();
 
     /// Number of fds currently being watched across all pids.
@@ -125,6 +128,7 @@ class TraceFilter {
             if (it != fds_.end() && *it == fd) fds_.erase(it);
         }
         std::size_t size() const { return fds_.size(); }
+        void clear() { fds_.clear(); }
 
       private:
         std::vector<std::int64_t> fds_;

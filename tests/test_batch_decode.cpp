@@ -1,8 +1,8 @@
-// Batched IOCT decode: ISA equivalence (scalar vs SWAR vs BMI2),
-// round-trips through EventBatch + EventScratch materialization,
-// diagnostics parity with the scalar reference on truncated and
-// corrupted input, and the zero-allocation steady state of decode and
-// of the whole decode -> filter -> analyze ingest loop.
+// Batched IOCT decode: round-trips through EventBatch + EventScratch
+// materialization, events/drops/diagnostics parity with decode_trace
+// and the per-record decode_event on clean, truncated and corrupted
+// input, and the zero-allocation steady state of decode and of the
+// whole decode -> filter -> analyze ingest loop.
 #include "trace/binary_format.hpp"
 
 #include <gtest/gtest.h>
@@ -23,8 +23,7 @@ const char* const kSyscallNames[] = {"open",  "openat", "read",  "write",
                                      "lseek", "close",  "chdir", "mkdir"};
 
 /// Deterministic random event spanning the varint value space: 1-byte
-/// varints (the fast path), mid-size values (the SWAR wide path), and
-/// 9/10-byte extremes (the scalar fallback).
+/// varints, mid-size values, and 9/10-byte extremes.
 TraceEvent random_event(std::mt19937_64& rng) {
     TraceEvent ev;
     ev.seq = rng() % 3 ? rng() % 100 : rng();
@@ -64,18 +63,9 @@ std::vector<TraceEvent> random_events(std::uint64_t seed, int n) {
     return events;
 }
 
-std::vector<DecodeIsa> available_isas() {
-    std::vector<DecodeIsa> isas;
-    for (const auto isa :
-         {DecodeIsa::Scalar, DecodeIsa::Swar, DecodeIsa::Bmi2})
-        if (decode_isa_available(isa)) isas.push_back(isa);
-    return isas;
-}
-
-/// Scan + chunked batched decode + materialization, pinned to one ISA.
-/// The odd chunk size forces several batch boundaries in every test.
+/// Scan + chunked batched decode + materialization.  The odd chunk
+/// size forces several batch boundaries in every test.
 std::vector<TraceEvent> batch_decode_all(std::string_view data,
-                                         DecodeIsa isa,
                                          std::size_t* dropped = nullptr,
                                          ParseDiagnostics* diags = nullptr) {
     constexpr std::size_t kChunk = 97;
@@ -86,9 +76,9 @@ std::vector<TraceEvent> batch_decode_all(std::string_view data,
     for (std::size_t i = 0; i < scan.events.size(); i += kChunk) {
         const std::size_t n = std::min(kChunk, scan.events.size() - i);
         batch.clear();
-        const auto rows = decode_batch_with(isa, data, scan.strings,
-                                            scan.events.data() + i, n,
-                                            batch, dropped, diags);
+        const auto rows = decode_batch(data, scan.strings,
+                                       scan.events.data() + i, n, batch,
+                                       dropped, diags);
         for (std::size_t r = 0; r < rows; ++r)
             out.push_back(scratch.materialize(batch, r, scan.strings));
     }
@@ -108,68 +98,67 @@ void expect_diags_equal(const ParseDiagnostics& a, const ParseDiagnostics& b,
 }
 
 TEST(BatchDecode, ScalarIsAlwaysAvailable) {
-    EXPECT_TRUE(decode_isa_available(DecodeIsa::Scalar));
-    EXPECT_TRUE(decode_isa_available(active_decode_isa()));
-    EXPECT_STREQ(decode_isa_name(DecodeIsa::Scalar), "scalar");
+    EXPECT_EQ(active_decode_isa(), DecodeIsa::Scalar);
+    EXPECT_STREQ(decode_isa_name(active_decode_isa()), "scalar");
 }
 
-TEST(BatchDecode, RoundTripsRandomizedEventsOnEveryIsa) {
+TEST(BatchDecode, RoundTripsRandomizedEvents) {
     const auto events = random_events(20260808, 2000);
     const auto data = encode_trace(events);
-    for (const auto isa : available_isas()) {
-        // decode_batch accumulates into *dropped (callers chunk), so
-        // start from zero — unlike decode_trace, which assigns.
-        std::size_t dropped = 0;
-        const auto decoded = batch_decode_all(data, isa, &dropped);
-        EXPECT_EQ(dropped, 0u) << decode_isa_name(isa);
-        ASSERT_EQ(decoded.size(), events.size()) << decode_isa_name(isa);
-        for (std::size_t i = 0; i < events.size(); ++i)
-            ASSERT_EQ(decoded[i], events[i])
-                << decode_isa_name(isa) << " event " << i;
-    }
+    // decode_batch accumulates into *dropped (callers chunk), so start
+    // from zero — unlike decode_trace, which assigns.
+    std::size_t dropped = 0;
+    const auto decoded = batch_decode_all(data, &dropped);
+    EXPECT_EQ(dropped, 0u);
+    ASSERT_EQ(decoded.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i)
+        ASSERT_EQ(decoded[i], events[i]) << "event " << i;
 }
 
 TEST(BatchDecode, MatchesDecodeTraceOnCleanInput) {
     const auto data = encode_trace(random_events(42, 500));
     std::size_t ref_dropped = 1, batch_dropped = 0;
     const auto reference = decode_trace(data, &ref_dropped);
-    const auto batched =
-        batch_decode_all(data, active_decode_isa(), &batch_dropped);
+    const auto batched = batch_decode_all(data, &batch_dropped);
     EXPECT_EQ(batch_dropped, ref_dropped);
     EXPECT_EQ(batched, reference);
 }
 
-TEST(BatchDecode, IsasAgreeOnTruncatedTails) {
+/// Scan + batched decode must agree with decode_trace on `data`: the
+/// same events, and — once the scan stage's share is added back — the
+/// same drop count and the same retained diagnostics.
+void expect_matches_decode_trace(std::string_view data,
+                                 const std::string& what) {
+    std::size_t ref_dropped = 0;
+    ParseDiagnostics ref_diags;
+    const auto reference = decode_trace(data, &ref_dropped, &ref_diags);
+
+    const auto scan = scan_ioct(data);
+    std::size_t dropped = 0;
+    ParseDiagnostics diags;
+    const auto batched = batch_decode_all(data, &dropped, &diags);
+    ParseDiagnostics all = scan.diags;
+    all.merge(diags);
+    ASSERT_EQ(batched, reference) << what;
+    EXPECT_EQ(scan.dropped + dropped, ref_dropped) << what;
+    expect_diags_equal(all, ref_diags, what.c_str());
+}
+
+TEST(BatchDecode, MatchesDecodeTraceOnTruncatedTails) {
     const auto data = encode_trace(random_events(7, 200));
     // Chop at every offset across the last few records plus a spread of
-    // earlier cuts: every truncation must decode identically (events,
-    // drop counts, diagnostics) on every ISA.
+    // earlier cuts: every truncation must decode identically.
     std::vector<std::size_t> cuts;
     for (std::size_t cut = data.size() - 120; cut < data.size(); ++cut)
         cuts.push_back(cut);
     for (std::size_t cut = 16; cut < data.size(); cut += 997)
         cuts.push_back(cut);
-    for (const std::size_t cut : cuts) {
-        const std::string torn = data.substr(0, cut);
-        std::size_t scalar_dropped = 0;
-        ParseDiagnostics scalar_diags;
-        const auto scalar = batch_decode_all(torn, DecodeIsa::Scalar,
-                                             &scalar_dropped, &scalar_diags);
-        for (const auto isa : available_isas()) {
-            if (isa == DecodeIsa::Scalar) continue;
-            std::size_t dropped = 0;
-            ParseDiagnostics diags;
-            const auto fast = batch_decode_all(torn, isa, &dropped, &diags);
-            ASSERT_EQ(fast, scalar)
-                << decode_isa_name(isa) << " cut " << cut;
-            EXPECT_EQ(dropped, scalar_dropped)
-                << decode_isa_name(isa) << " cut " << cut;
-            expect_diags_equal(diags, scalar_diags, decode_isa_name(isa));
-        }
-    }
+    for (const std::size_t cut : cuts)
+        expect_matches_decode_trace(std::string_view(data).substr(0, cut),
+                                    "cut " + std::to_string(cut));
 }
 
-TEST(BatchDecode, IsasAgreeUnderRandomCorruption) {
+TEST(BatchDecode, MatchesDecodeTraceUnderRandomCorruption) {
     const auto clean = encode_trace(random_events(11, 300));
     std::mt19937_64 rng(99);
     for (int trial = 0; trial < 200; ++trial) {
@@ -180,21 +169,8 @@ TEST(BatchDecode, IsasAgreeUnderRandomCorruption) {
         for (int f = 0; f < flips; ++f)
             data[kIoctHeaderSize + rng() % (data.size() - kIoctHeaderSize)] =
                 static_cast<char>(rng() & 0xff);
-        std::size_t scalar_dropped = 0;
-        ParseDiagnostics scalar_diags;
-        const auto scalar = batch_decode_all(data, DecodeIsa::Scalar,
-                                             &scalar_dropped, &scalar_diags);
-        for (const auto isa : available_isas()) {
-            if (isa == DecodeIsa::Scalar) continue;
-            std::size_t dropped = 0;
-            ParseDiagnostics diags;
-            const auto fast = batch_decode_all(data, isa, &dropped, &diags);
-            ASSERT_EQ(fast, scalar)
-                << decode_isa_name(isa) << " trial " << trial;
-            EXPECT_EQ(dropped, scalar_dropped)
-                << decode_isa_name(isa) << " trial " << trial;
-            expect_diags_equal(diags, scalar_diags, decode_isa_name(isa));
-        }
+        expect_matches_decode_trace(data,
+                                    "trial " + std::to_string(trial));
     }
 }
 
@@ -216,8 +192,7 @@ TEST(BatchDecode, ParityWithPerRecordDecodeEventUnderCorruption) {
                              scan.strings, scratch))
                 reference.push_back(scratch);
         std::size_t dropped = 0;
-        const auto batched =
-            batch_decode_all(data, active_decode_isa(), &dropped);
+        const auto batched = batch_decode_all(data, &dropped);
         ASSERT_EQ(batched, reference) << "trial " << trial;
         EXPECT_EQ(batched.size() + dropped, scan.events.size())
             << "trial " << trial;

@@ -1,5 +1,5 @@
 // Parallel sharded analysis: merge algebra, shard/serial equivalence,
-// thread-pool basics, and the end-to-end parallel text pipeline.
+// the work-stealing executor, and the end-to-end parallel text pipeline.
 //
 // The hard guarantee under test: for a fresh IOCov, consume_text and
 // consume_text_parallel produce bit-identical CoverageReports.  That
@@ -123,23 +123,47 @@ TEST(Sharding, NWayRoundRobinEqualsSerial) {
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
     exec::ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(1000);
-    exec::parallel_for(pool, hits.size(),
-                       [&](std::size_t i) { hits[i].fetch_add(1); });
+    exec::parallel_for_stealing(
+        pool, std::vector<std::uint64_t>(hits.size(), 1),
+        [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForPropagatesException) {
     exec::ThreadPool pool(2);
-    EXPECT_THROW(exec::parallel_for(pool, 64,
-                                    [](std::size_t i) {
-                                        if (i == 17)
-                                            throw std::runtime_error("boom");
-                                    }),
+    std::vector<std::atomic<int>> hits(64);
+    EXPECT_THROW(exec::parallel_for_stealing(
+                     pool, std::vector<std::uint64_t>(hits.size(), 1),
+                     [&](std::size_t i) {
+                         hits[i].fetch_add(1);
+                         if (i == 17) throw std::runtime_error("boom");
+                     }),
                  std::runtime_error);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     // Pool must still be usable after a failed batch.
     std::atomic<int> n{0};
-    exec::parallel_for(pool, 8, [&](std::size_t) { n.fetch_add(1); });
+    exec::parallel_for_stealing(pool, std::vector<std::uint64_t>(8, 1),
+                                [&](std::size_t) { n.fetch_add(1); });
     EXPECT_EQ(n.load(), 8);
+}
+
+TEST(ThreadPool, OneLaneIsAPlainLoopWithTheSameContract) {
+    // n_threads 1 runs on the calling thread, in index order, and still
+    // attempts every index before rethrowing the first failure.
+    std::vector<std::size_t> order;
+    EXPECT_THROW(exec::parallel_for_stealing(
+                     1u, std::vector<std::uint64_t>{9, 1, 5, 1},
+                     [&](std::size_t i) {
+                         order.push_back(i);
+                         if (i == 1) throw std::runtime_error("boom");
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+    // More lanes than items: every item still runs exactly once.
+    std::vector<std::atomic<int>> hits(3);
+    exec::parallel_for_stealing(8u, std::vector<std::uint64_t>(3, 1),
+                                [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // ---- work stealing ---------------------------------------------------------

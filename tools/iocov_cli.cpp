@@ -39,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -105,7 +106,10 @@ int usage() {
         "      text.  A TRACE that is a directory analyzes every IOCT\n"
         "      file in it (sorted by name; non-IOCT entries are\n"
         "      diagnosed and skipped), with files scheduled onto\n"
-        "      --threads N work-stealing workers.  Malformed input is\n"
+        "      --threads N work-stealing workers.  Each TRACE, and\n"
+        "      each file of a directory, is analyzed with its own fd/cwd\n"
+        "      filter state: an fd opened in one file is not watched in\n"
+        "      the next.  Malformed input is\n"
         "      skipped and diagnosed; --max-errors N fails the run when\n"
         "      more than N inputs were dropped, --strict is\n"
         "      --max-errors 0.  --stats prints ingest throughput and\n"
@@ -369,45 +373,26 @@ bool flag_u64_opt(int argc, char** argv, int& i, const char* name,
     return true;
 }
 
-/// One input of a checkpointed walk.
-struct WalkEntry {
-    std::string path;  ///< what to open; also the manifest key
-    std::string name;  ///< diagnostic label (file name for dir entries)
-};
-
 /// Expands merge/analyze INPUTs into the deterministic serial walk the
-/// checkpoint manifest records: file arguments stay in argument order,
-/// each directory argument contributes its regular files sorted by
-/// name.  nullopt (with a printed error) when a directory cannot be
-/// enumerated.
-std::optional<std::vector<WalkEntry>> expand_inputs(
+/// checkpoint manifest records: file arguments stay in argument order
+/// (path doubles as the diagnostic name), each directory argument
+/// contributes its regular files sorted by name.  nullopt (with a
+/// printed error) when a directory cannot be enumerated.
+std::optional<std::vector<host::DirFile>> expand_inputs(
     const std::vector<const char*>& inputs) {
-    std::vector<WalkEntry> walk;
+    std::vector<host::DirFile> walk;
     for (const char* input : inputs) {
         std::error_code ec;
-        if (std::filesystem::is_directory(input, ec) && !ec) {
-            std::vector<WalkEntry> entries;
-            std::error_code dec;
-            for (std::filesystem::directory_iterator it(input, dec), end;
-                 !dec && it != end; it.increment(dec)) {
-                std::error_code fec;
-                if (!it->is_regular_file(fec) || fec) continue;
-                entries.push_back({it->path().string(),
-                                   it->path().filename().string()});
-            }
-            if (dec) {
-                std::fprintf(stderr, "iocov: cannot open directory %s\n",
-                             input);
-                return std::nullopt;
-            }
-            std::sort(entries.begin(), entries.end(),
-                      [](const WalkEntry& a, const WalkEntry& b) {
-                          return a.name < b.name;
-                      });
-            for (auto& e : entries) walk.push_back(std::move(e));
-        } else {
-            walk.push_back({input, input});
+        if (!std::filesystem::is_directory(input, ec) || ec) {
+            walk.push_back({input, input, 0});
+            continue;
         }
+        auto entries = host::list_dir(input);
+        if (!entries) {
+            std::fprintf(stderr, "iocov: cannot open directory %s\n", input);
+            return std::nullopt;
+        }
+        for (auto& e : *entries) walk.push_back(std::move(e));
     }
     return walk;
 }
@@ -420,7 +405,7 @@ std::optional<std::vector<WalkEntry>> expand_inputs(
 /// fatal mismatch.
 bool load_resume_checkpoint(const char* checkpoint_path,
                             core::CheckpointMode mode,
-                            const std::vector<WalkEntry>& walk,
+                            const std::vector<host::DirFile>& walk,
                             core::Checkpoint& cp) {
     std::error_code ec;
     if (!std::filesystem::exists(checkpoint_path, ec) || ec) return true;
@@ -447,7 +432,7 @@ bool load_resume_checkpoint(const char* checkpoint_path,
         loaded->consumed.size() <= walk.size() &&
         std::equal(loaded->consumed.begin(), loaded->consumed.end(),
                    walk.begin(),
-                   [](const std::string& a, const WalkEntry& b) {
+                   [](const std::string& a, const host::DirFile& b) {
                        return a == b.path;
                    });
     if (!prefix) {
@@ -485,18 +470,17 @@ void print_summary(const core::CoverageReport& report) {
     }
 }
 
-/// Checkpointed single-directory analyze walk: files are consumed one
-/// at a time in name order (documented bit-identical to the
-/// work-stealing directory ingest), and every --checkpoint-every
-/// consumed entries the analyzer state is snapshotted into an
-/// atomically-written IOCK manifest.  `reject_diags` collects the
-/// per-file rejection diagnostics the directory ingest would have
-/// recorded internally.  Returns kExitOk to continue into the shared
-/// reporting tail.
+/// Checkpointed single-directory analyze walk: the directory's files
+/// go through consume_binary_files --checkpoint-every at a time, in
+/// name order — the same per-file shards, diagnostics and fold order
+/// as consume_binary_dir — and after each group the analyzer state and
+/// its diagnostics are written to an atomically-replaced IOCK
+/// manifest.  No filter state crosses a file, so resuming from any
+/// manifest reproduces the uninterrupted run.  Returns kExitOk to
+/// continue into the shared reporting tail.
 int analyze_checkpointed(core::IOCov& iocov, const char* dir,
                          unsigned threads, const char* checkpoint_path,
-                         std::uint64_t checkpoint_every, bool resume,
-                         trace::ParseDiagnostics& reject_diags) {
+                         std::uint64_t checkpoint_every, bool resume) {
     auto walk = expand_inputs({dir});
     if (!walk) return kExitIo;
     core::Checkpoint cp;
@@ -505,52 +489,35 @@ int analyze_checkpointed(core::IOCov& iocov, const char* dir,
         !load_resume_checkpoint(checkpoint_path,
                                 core::CheckpointMode::Analyze, *walk, cp))
         return kExitIo;
-    const std::size_t start = cp.consumed.size();
-    std::uint64_t analyzed = start - cp.rejected;
-    if (!cp.blocks.empty()) iocov.merge(cp.blocks.front().snapshot);
-    cp.blocks.clear();
+    std::uint64_t analyzed = cp.consumed.size() - cp.rejected;
+    iocov.merge(cp.blocks.empty() ? core::IOCovSnapshot{}
+                                  : cp.blocks.front().snapshot,
+                cp.diags);
 
-    std::uint64_t since = 0;
-    auto save_cp = [&]() {
+    for (std::size_t i = cp.consumed.size(); i < walk->size();) {
+        const auto files = std::span<const host::DirFile>(*walk).subspan(
+            i, static_cast<std::size_t>(std::min<std::uint64_t>(
+                   checkpoint_every, walk->size() - i)));
+        const auto group = iocov.consume_binary_files(files, threads);
+        analyzed += group.files;
+        cp.rejected += group.rejected;
+        for (const auto& f : files) cp.consumed.push_back(f.path);
+        i += files.size();
+        if (i == walk->size()) break;
         cp.blocks.clear();
         if (analyzed > 0) cp.blocks.push_back({analyzed, iocov.snapshot()});
+        cp.diags = iocov.diagnostics();
         core::SnapshotError err;
         if (!core::save_checkpoint_file(checkpoint_path, cp, &err)) {
             std::fprintf(stderr, "iocov: %s: %s\n", checkpoint_path,
                          err.to_string().c_str());
-            return false;
-        }
-        return true;
-    };
-    for (std::size_t i = start; i < walk->size(); ++i) {
-        const auto& e = (*walk)[i];
-        if (file_is_ioct(e.path.c_str())) {
-            const auto dropped = iocov.consume_binary_file(e.path, threads);
-            if (!dropped) {
-                std::fprintf(stderr, "iocov: cannot open %s\n",
-                             e.path.c_str());
-                return kExitIo;
-            }
-            ++analyzed;
-        } else {
-            ++cp.rejected;
-            std::ifstream probe(e.path, std::ios::binary);
-            cp.diags.record(0, 0,
-                            e.name + (probe ? ": not an IOCT file (bad "
-                                              "magic/version)"
-                                            : ": cannot open file"));
-        }
-        cp.consumed.push_back(e.path);
-        if (++since >= checkpoint_every && i + 1 < walk->size()) {
-            since = 0;
-            if (!save_cp()) return kExitIo;
+            return kExitIo;
         }
     }
     std::printf("%s: analyzed %llu IOCT files (%llu non-IOCT rejected, "
                 "checkpointed)\n",
                 dir, static_cast<unsigned long long>(analyzed),
                 static_cast<unsigned long long>(cp.rejected));
-    reject_diags = cp.diags;
     // The walk completed; the manifest has served its purpose.
     std::error_code ec;
     std::filesystem::remove(checkpoint_path, ec);
@@ -611,7 +578,6 @@ int cmd_analyze(int argc, char** argv) {
     core::IOCov iocov(trace::FilterConfig::mount_point(mount),
                       extended ? core::extended_syscall_registry()
                                : core::syscall_registry());
-    trace::ParseDiagnostics reject_diags;
     if (checkpoint_path) {
         // Checkpointed mode only defines resume semantics for one
         // directory of IOCT traces (the fleet drop-box shape).
@@ -621,8 +587,7 @@ int cmd_analyze(int argc, char** argv) {
             return usage();
         const int rc = analyze_checkpointed(iocov, traces[0], threads,
                                             checkpoint_path,
-                                            checkpoint_every, resume,
-                                            reject_diags);
+                                            checkpoint_every, resume);
         if (rc != kExitOk) return rc;
         traces.clear();
     }
@@ -681,21 +646,13 @@ int cmd_analyze(int argc, char** argv) {
             std::printf("%s: %zu syscalls parsed (input coverage only)\n",
                         path, parsed);
         } else {
-            // --threads shards by pid; pid-sharded analysis is
-            // bit-identical to serial for a fresh IOCov per run.
-            const auto dropped = threads == 1
-                                     ? iocov.consume_text(in)
-                                     : iocov.consume_text_parallel(in,
-                                                                   threads);
+            // --threads shards by pid, bit-identical to serial.
+            const auto dropped = iocov.consume_text_parallel(in, threads);
             std::printf("%s: analyzed (%zu malformed lines skipped)\n",
                         path, dropped);
         }
     }
-    // Checkpointed walks keep per-file rejection diagnostics at the
-    // CLI layer; fold them in so --max-errors and the printed summary
-    // match the directory-ingest behavior.
-    trace::ParseDiagnostics diags = iocov.diagnostics();
-    diags.merge(reject_diags);
+    const trace::ParseDiagnostics& diags = iocov.diagnostics();
     if (max_errors && diags.total() > *max_errors) {
         std::fprintf(stderr,
                      "iocov: error budget exceeded (%llu dropped > "
@@ -713,7 +670,7 @@ int cmd_analyze(int argc, char** argv) {
         const auto& is = iocov.ingest_stats();
         const double secs = is.seconds > 0 ? is.seconds : 1e-9;
         std::printf(
-            "\ningest stats (binary paths):\n"
+            "\ningest stats:\n"
             "  events:   %llu decoded (%.2fM events/s)\n"
             "  bytes:    %llu ingested (%.1f MB/s)\n"
             "  files:    %llu across %u thread(s), %.3fs wall\n",
