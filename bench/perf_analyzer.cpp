@@ -219,13 +219,16 @@ BENCHMARK(BM_ConsumeTextParallel)
 
 // --- ingest: trace bytes -> events, text vs IOCT binary ---------------------
 
-/// Text ingest, parse only (the stage IOCT removes): one line-parse per
-/// event, materializing every string.
+/// Text ingest, parse only: the row grammar consume_text runs, one line
+/// into one SoA row over a chunk-interned string table (strings stay
+/// views into the text; no TraceEvent per line).
 void BM_IngestTextSerial(benchmark::State& state) {
     const auto& text = canned_text_trace();
     for (auto _ : state) {
-        const auto events = trace::parse_chunk(text);
-        benchmark::DoNotOptimize(events.size());
+        trace::EventBatch batch;
+        trace::TextStrings strings;
+        benchmark::DoNotOptimize(
+            trace::parse_chunk_rows(text, batch, strings));
     }
     state.SetItemsProcessed(state.iterations() * canned_text_lines());
     state.SetBytesProcessed(state.iterations() *
@@ -255,8 +258,8 @@ void BM_IngestBinarySerial(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestBinarySerial);
 
-/// Binary ingest materializing owned TraceEvents (apples-to-apples with
-/// BM_IngestTextSerial, which also builds a vector).
+/// Binary ingest materializing owned TraceEvents (what parse_chunk
+/// builds from text rows).
 void BM_IngestBinaryMaterialized(benchmark::State& state) {
     const auto& binary = canned_twin_traces().binary;
     for (auto _ : state) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
+#include <unordered_map>
 
 #include "core/snapshot.hpp"
 #include "exec/alloc_hook.hpp"
@@ -13,10 +13,11 @@
 namespace iocov::core {
 
 /// What running one shard yields.  A shard is a row source analyzed
-/// from empty filter state: IOCT refs over one string table, or parsed
-/// text events.  The same type carries a call's own share (scan drops,
-/// bytes, wall time) and a parse chunk's; IOCov::fold() is the only
-/// way any of it reaches the IOCov.
+/// from empty filter state: IOCT refs over one string table, or the
+/// rows of parsed text chunks, each over its own table.  The same type
+/// carries a call's own share (scan drops, bytes, wall time) and a
+/// parse chunk's; IOCov::fold() is the only way any of it reaches the
+/// IOCov.
 struct ShardResult {
     /// The shard's coverage when it ran on its own analyzer; empty when
     /// it analyzed in place (one lane) or analyzed nothing.
@@ -47,53 +48,111 @@ unsigned lanes_for(unsigned n_threads) {
     return n_threads ? n_threads : exec::ThreadPool::default_thread_count();
 }
 
-/// One scanned IOCT string table, pre-resolved for analysis:
-/// bindings[name_id] replaces a per-event syscall lookup with a vector
-/// index, and `scope` lets the filter admit a row from its string ids.
-struct RefTable {
-    std::string_view data;
-    const std::vector<std::string_view>& strings;
+/// One string table — an IOCT file's or a parsed text chunk's —
+/// pre-resolved for analysis: bindings[name_id] replaces a per-event
+/// syscall lookup with a vector index, and `scope` lets the filter
+/// admit a row from its string ids.
+struct BoundTable {
+    const std::vector<std::string_view>* strings = nullptr;
     std::vector<SyscallTable::Binding> bindings;
     trace::TraceFilter::Binding scope;
 };
 
-/// The IOCT row source: decode_batch -> admit_row -> materialize only
-/// admitted rows -> analyze.  Chunked through the reusable EventBatch/
-/// EventScratch so steady state performs zero heap allocations
-/// (tracked per thread via the exec allocation hook).
-void analyze_refs(const RefTable& table, const trace::EventRef* refs,
-                  std::size_t n, trace::TraceFilter& filter,
-                  Analyzer& analyzer, trace::EventBatch& batch,
-                  trace::EventScratch& scratch, ShardResult& out) {
+BoundTable bind_table(const std::vector<std::string_view>& strings,
+                      const SyscallTable& syscalls,
+                      const trace::TraceFilter& filter) {
+    return {&strings, syscalls.bind_all(strings), filter.bind(strings)};
+}
+
+/// The row loop every route runs: admit_row -> materialize only
+/// admitted rows -> analyze, over the rows of `batch` that `owns`
+/// selects.  Filter state is keyed by pid and fd, never by string id,
+/// so one filter carries across batches bound to different tables.
+template <class Owns>
+void analyze_rows(const BoundTable& table, const trace::EventBatch& batch,
+                  Owns&& owns, trace::TraceFilter& filter,
+                  Analyzer& analyzer, trace::EventScratch& scratch,
+                  ShardResult& out) {
+    for (std::size_t r = 0; r < batch.rows.size(); ++r) {
+        if (!owns(batch.rows[r])) continue;
+        if (!filter.admit_row(batch, r, table.scope)) {
+            ++out.filtered;
+            continue;
+        }
+        analyzer.consume(scratch.materialize(batch, r, *table.strings),
+                         table.bindings[batch.rows[r].name_id]);
+    }
+}
+
+/// The IOCT row source: decode_batch, then analyze_rows.  Chunked
+/// through the reusable EventBatch/EventScratch so steady state
+/// performs zero heap allocations (tracked per thread via the exec
+/// allocation hook).
+void analyze_refs(std::string_view data, const BoundTable& table,
+                  const trace::EventRef* refs, std::size_t n,
+                  trace::TraceFilter& filter, Analyzer& analyzer,
+                  trace::EventBatch& batch, trace::EventScratch& scratch,
+                  ShardResult& out) {
     const std::uint64_t allocs0 = exec::thread_allocation_count();
     for (std::size_t i = 0; i < n; i += kBatchRows) {
         const std::size_t chunk = std::min(kBatchRows, n - i);
         batch.clear();
-        trace::decode_batch(table.data, table.strings, refs + i, chunk,
-                            batch, &out.dropped, &out.diags);
-        for (std::size_t r = 0; r < batch.rows.size(); ++r) {
-            if (!filter.admit_row(batch, r, table.scope)) {
-                ++out.filtered;
-                continue;
-            }
-            analyzer.consume(scratch.materialize(batch, r, table.strings),
-                             table.bindings[batch.rows[r].name_id]);
-        }
+        trace::decode_batch(data, *table.strings, refs + i, chunk, batch,
+                            &out.dropped, &out.diags);
+        analyze_rows(table, batch, [](const trace::BatchRow&) { return true; },
+                     filter, analyzer, scratch, out);
         out.stats.events += batch.rows.size();
     }
     out.stats.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
 }
 
-/// The text row source: parsed events through admit().
-void analyze_events(const std::vector<trace::TraceEvent>& events,
-                    trace::TraceFilter& filter, Analyzer& analyzer,
-                    ShardResult& out) {
-    for (const auto& ev : events) {
-        if (filter.admit(ev)) analyzer.consume(ev);
-        else ++out.filtered;
+/// Rows per pid — IoctFooter::pid_events' shape — and its tally form.
+using PidCounts = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+using PidTally = std::unordered_map<std::uint32_t, std::uint64_t>;
+
+/// The lane that analyzes each pid: exec::lpt_place over per-pid row
+/// counts in ascending pid order, so the busiest pids spread first and
+/// equal counts go to the smaller pid first.  A pid the counts miss (a
+/// footer that omits it) goes to lane 0: any fixed pid -> lane map
+/// keeps each pid's rows in trace order, which is all the filter needs.
+class PidLanes {
+  public:
+    PidLanes(PidCounts counts, unsigned lanes) : rows_(lanes, 0) {
+        std::sort(counts.begin(), counts.end());
+        std::vector<std::uint64_t> weights;
+        for (const auto& [pid, n] : counts) {
+            pids_.push_back(pid);
+            weights.push_back(n);
+        }
+        lanes_ = exec::lpt_place(weights, lanes);
+        for (std::size_t i = 0; i < counts.size(); ++i)
+            rows_[lanes_[i]] += counts[i].second;
     }
-    out.stats.events += events.size();
-}
+
+    unsigned operator()(std::uint32_t pid) const {
+        const auto it = std::lower_bound(pids_.begin(), pids_.end(), pid);
+        return it != pids_.end() && *it == pid
+                   ? lanes_[static_cast<std::size_t>(it - pids_.begin())]
+                   : 0;
+    }
+
+    /// Rows placed on each lane, by the counts given.
+    const std::vector<std::uint64_t>& rows() const { return rows_; }
+
+  private:
+    std::vector<std::uint32_t> pids_;
+    std::vector<unsigned> lanes_;
+    std::vector<std::uint64_t> rows_;
+};
+
+/// One parsed text chunk: its rows, the string table they index, that
+/// table bound once for analysis, and its rows per pid.
+struct TextChunk {
+    trace::EventBatch batch;
+    trace::TextStrings strings;
+    BoundTable table;
+    PidTally pids;
+};
 
 /// Runs `rows(filter, analyzer)` on a fresh filter and analyzer and
 /// keeps the analyzer's report in `out`.
@@ -174,6 +233,38 @@ std::size_t IOCov::fold(ShardResult&& shard, std::string_view name) {
     return shard.dropped;
 }
 
+template <class Body>
+std::size_t IOCov::run_lanes(const std::vector<std::uint64_t>& lane_rows,
+                             Body&& body, ShardResult& call) {
+    if (lane_rows.size() == 1) {
+        // One lane analyzes in place — the IOCov's own analyzer and
+        // decode scratch, and a shard filter reset with capacity kept —
+        // which is what keeps repeated ingestion allocation-free.  A
+        // failure here propagates: there is no shard report to discard.
+        shard_filter_.reset();
+        body(0, shard_filter_, analyzer_, batch_, scratch_, call);
+        return 0;
+    }
+    std::vector<ShardResult> results(lane_rows.size());
+    exec::parallel_for_stealing(
+        static_cast<unsigned>(lane_rows.size()), lane_rows,
+        [&](std::size_t s) {
+            results[s] = isolated(
+                "shard lost: ", 0, 0, static_cast<std::size_t>(lane_rows[s]),
+                [&](ShardResult& r) {
+                    run_own(filter_config_, *registry_, r,
+                            [&](trace::TraceFilter& f, Analyzer& a) {
+                                trace::EventBatch batch;
+                                trace::EventScratch scratch;
+                                body(s, f, a, batch, scratch, r);
+                            });
+                });
+        });
+    std::size_t dropped = 0;
+    for (auto& r : results) dropped += fold(std::move(r));
+    return dropped;
+}
+
 std::size_t IOCov::consume_text(std::istream& in) {
     return consume_text_parallel(in, 1);
 }
@@ -182,73 +273,76 @@ std::size_t IOCov::consume_text_parallel(std::istream& in,
                                          unsigned n_threads) {
     const auto t0 = std::chrono::steady_clock::now();
     const unsigned lanes = lanes_for(n_threads);
-    // Chunking needs random access to line boundaries, so slurp the
-    // stream once (the events it parses into are larger anyway).
-    const std::string text{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
+    // Chunking needs random access to line boundaries, and the rows'
+    // strings are views into the text, so read the stream whole.
+    const std::string text = trace::read_text(in);
     // More chunks than lanes so one expensive chunk can't serialize the
     // tail of the parse stage.
-    const auto chunks =
+    const auto cuts =
         trace::split_line_chunks(text, lanes == 1 ? 1 : lanes * 4);
 
     // Position each chunk within the whole input so diagnostics carry
     // file-absolute line numbers and byte offsets.
-    std::vector<std::uint64_t> first_line(chunks.size(), 1);
-    std::vector<std::uint64_t> line_count(chunks.size(), 0);
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
+    std::vector<std::uint64_t> first_line(cuts.size(), 1);
+    std::vector<std::uint64_t> line_count(cuts.size(), 0);
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
         line_count[i] = static_cast<std::uint64_t>(
-            std::count(chunks[i].begin(), chunks[i].end(), '\n'));
-        if (!chunks[i].empty() && chunks[i].back() != '\n') ++line_count[i];
-        if (i + 1 < chunks.size())
+            std::count(cuts[i].begin(), cuts[i].end(), '\n'));
+        if (!cuts[i].empty() && cuts[i].back() != '\n') ++line_count[i];
+        if (i + 1 < cuts.size())
             first_line[i + 1] = first_line[i] + line_count[i];
     }
     auto base_offset = [&](std::size_t i) {
-        return static_cast<std::uint64_t>(chunks[i].data() - text.data());
+        return static_cast<std::uint64_t>(cuts[i].data() - text.data());
     };
 
-    std::vector<std::vector<trace::TraceEvent>> parsed(chunks.size());
-    std::vector<ShardResult> parses(chunks.size());
+    // Parse each chunk into rows over its own string table, and bind
+    // that table once.
+    std::vector<TextChunk> chunks(cuts.size());
+    std::vector<ShardResult> parses(cuts.size());
     exec::parallel_for_stealing(
-        lanes, std::vector<std::uint64_t>(chunks.size(), 1),
-        [&](std::size_t i) {
+        lanes, std::vector<std::uint64_t>(cuts.size(), 1), [&](std::size_t i) {
             parses[i] = isolated(
                 "chunk lost: ", first_line[i], base_offset(i), line_count[i],
                 [&](ShardResult& r) {
-                    parsed[i] = trace::parse_chunk(chunks[i], &r.dropped,
-                                                   &r.diags, first_line[i],
-                                                   base_offset(i));
+                    TextChunk& c = chunks[i];
+                    trace::parse_chunk_rows(cuts[i], c.batch, c.strings,
+                                            &r.dropped, &r.diags,
+                                            first_line[i], base_offset(i));
+                    c.table = bind_table(c.strings.strings(),
+                                         analyzer_.table(), shard_filter_);
+                    if (lanes > 1)
+                        for (const auto& row : c.batch.rows) ++c.pids[row.pid];
+                    r.stats.events = c.batch.rows.size();
                 });
         });
     std::size_t dropped = 0;
-    for (auto& r : parses) dropped += fold(std::move(r));
-
-    // Re-shard by pid.  Scanning the chunks in order preserves each
-    // pid's trace order, which is the only ordering the stateful filter
-    // (per-pid fd watches and cwd) depends on.
-    std::vector<std::vector<trace::TraceEvent>> shards(lanes);
-    std::size_t total_events = 0;
-    for (const auto& chunk_events : parsed) total_events += chunk_events.size();
-    for (auto& shard : shards) shard.reserve(total_events / lanes + 1);
-    for (auto& chunk_events : parsed) {
-        for (auto& ev : chunk_events)
-            shards[ev.pid % lanes].push_back(std::move(ev));
-        chunk_events.clear();
+    PidTally tally;
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
+        if (parses[i].lost) chunks[i] = TextChunk();
+        for (const auto& [pid, n] : chunks[i].pids) tally[pid] += n;
+        dropped += fold(std::move(parses[i]));
     }
 
-    std::vector<ShardResult> results(lanes);
-    exec::parallel_for_stealing(
-        lanes, std::vector<std::uint64_t>(lanes, 1), [&](std::size_t s) {
-            results[s] = isolated(
-                "shard lost: ", 0, 0, shards[s].size(), [&](ShardResult& r) {
-                    run_own(filter_config_, *registry_, r,
-                            [&](trace::TraceFilter& f, Analyzer& a) {
-                                analyze_events(shards[s], f, a, r);
-                            });
-                });
-        });
-    for (auto& r : results) dropped += fold(std::move(r));
-
+    // Place pids on lanes by row count.  Each lane walks the chunks in
+    // order, so every pid's rows reach its filter in trace order.
+    const PidLanes place(PidCounts(tally.begin(), tally.end()), lanes);
     ShardResult call;
+    dropped += run_lanes(
+        place.rows(),
+        [&](std::size_t lane, trace::TraceFilter& f, Analyzer& a,
+            trace::EventBatch&, trace::EventScratch& scratch,
+            ShardResult& r) {
+            // One lane counted no pids, so place() is 0 for every row.
+            for (const auto& c : chunks)
+                analyze_rows(c.table, c.batch,
+                             [&](const trace::BatchRow& row) {
+                                 return place(row.pid) == lane;
+                             },
+                             f, a, scratch, r);
+        },
+        call);
+
     call.stats.bytes = text.size();
     call.stats.threads = lanes;
     call.stats.seconds = seconds_since(t0);
@@ -265,9 +359,8 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     const auto t0 = std::chrono::steady_clock::now();
     const unsigned lanes = lanes_for(n_threads);
     auto scan = trace::scan_ioct(data);
-    const RefTable table{data, scan.strings,
-                         analyzer_.table().bind_all(scan.strings),
-                         shard_filter_.bind(scan.strings)};
+    const BoundTable table =
+        bind_table(scan.strings, analyzer_.table(), shard_filter_);
 
     // The call's own share: scan-stage drops, bytes, lanes, wall time.
     ShardResult call;
@@ -275,49 +368,40 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     call.diags = std::move(scan.diags);
     call.stats.bytes = data.size();
     call.stats.threads = lanes;
-    std::size_t dropped = 0;
-    if (lanes == 1) {
-        // One lane analyzes in place — the IOCov's own analyzer and
-        // decode scratch, and a shard filter reset with capacity kept —
-        // which is what keeps repeated ingestion allocation-free.  A
-        // failure here propagates: there is no shard report to discard.
-        shard_filter_.reset();
-        analyze_refs(table, scan.events.data(), scan.events.size(),
-                     shard_filter_, analyzer_, batch_, scratch_, call);
-    } else {
-        // Shard record references (not events) by pid.  Scan order is
-        // file order, so each pid's event order is preserved inside its
-        // shard.  The footer's per-pid counts, when present, size each
-        // shard exactly.
-        std::vector<std::vector<trace::EventRef>> shards(lanes);
-        if (scan.footer) {
-            std::vector<std::size_t> sizes(lanes, 0);
-            for (const auto& [pid, count] : scan.footer->pid_events)
-                sizes[pid % lanes] += count;
-            for (unsigned s = 0; s < lanes; ++s) shards[s].reserve(sizes[s]);
-        }
-        for (const auto& ref : scan.events)
-            shards[ref.pid % lanes].push_back(ref);
 
-        std::vector<ShardResult> results(lanes);
-        exec::parallel_for_stealing(
-            lanes, std::vector<std::uint64_t>(lanes, 1), [&](std::size_t s) {
-                const auto& refs = shards[s];
-                results[s] = isolated(
-                    "shard lost: ", 0, refs.empty() ? 0 : refs.front().offset,
-                    refs.size(), [&](ShardResult& r) {
-                        run_own(filter_config_, *registry_, r,
-                                [&](trace::TraceFilter& f, Analyzer& a) {
-                                    trace::EventBatch batch;
-                                    trace::EventScratch scratch;
-                                    analyze_refs(table, refs.data(),
-                                                 refs.size(), f, a, batch,
-                                                 scratch, r);
-                                });
-                    });
-            });
-        for (auto& r : results) dropped += fold(std::move(r));
+    // Shard record references (not events) by pid, placed by the
+    // footer's per-pid counts or, without one, the scan's.  Scan order
+    // is file order, so each pid's event order is preserved inside its
+    // shard.
+    std::vector<std::vector<trace::EventRef>> shards;
+    std::vector<std::uint64_t> lane_rows{scan.events.size()};
+    if (lanes > 1) {
+        PidTally tally;
+        if (!scan.footer)
+            for (const auto& ref : scan.events) ++tally[ref.pid];
+        const PidLanes place(
+            scan.footer ? scan.footer->pid_events
+                        : PidCounts(tally.begin(), tally.end()),
+            lanes);
+        shards.resize(lanes);
+        for (unsigned s = 0; s < lanes; ++s)
+            shards[s].reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+                place.rows()[s], scan.events.size())));
+        for (const auto& ref : scan.events)
+            shards[place(ref.pid)].push_back(ref);
+        lane_rows.assign(lanes, 0);
+        for (unsigned s = 0; s < lanes; ++s) lane_rows[s] = shards[s].size();
     }
+    const std::size_t dropped = run_lanes(
+        lane_rows,
+        [&](std::size_t lane, trace::TraceFilter& f, Analyzer& a,
+            trace::EventBatch& batch, trace::EventScratch& scratch,
+            ShardResult& r) {
+            const auto& refs = lanes == 1 ? scan.events : shards[lane];
+            analyze_refs(data, table, refs.data(), refs.size(), f, a, batch,
+                         scratch, r);
+        },
+        call);
     call.stats.seconds = seconds_since(t0);
     return dropped + fold(std::move(call));
 }
@@ -360,9 +444,8 @@ IOCov::DirIngest IOCov::consume_binary_files(
                 return;
             }
             const auto scan = trace::scan_ioct(data);
-            const RefTable table{data, scan.strings,
-                                 analyzer_.table().bind_all(scan.strings),
-                                 shard_filter_.bind(scan.strings)};
+            const BoundTable table =
+                bind_table(scan.strings, analyzer_.table(), shard_filter_);
             r.diags.merge(scan.diags);
             r.dropped = scan.dropped;
             r.stats.files = 1;
@@ -371,7 +454,7 @@ IOCov::DirIngest IOCov::consume_binary_files(
                     [&](trace::TraceFilter& f, Analyzer& a) {
                         trace::EventBatch batch;
                         trace::EventScratch scratch;
-                        analyze_refs(table, scan.events.data(),
+                        analyze_refs(data, table, scan.events.data(),
                                      scan.events.size(), f, a, batch,
                                      scratch, r);
                     });

@@ -16,13 +16,13 @@
 // scope), so where its state starts decides the report.  Every
 // consume_text* and consume_binary* call, every file of a directory
 // and every LiveCoverage push is one shard — or, with n_threads > 1,
-// one shard per pid group — analyzed from empty filter state; shards
-// meet only through the report merge.  That makes every route over the
-// same inputs bit-identical: serial, parallel, file by file, directory,
-// snapshot merge, serve push, and a checkpointed walk resumed after a
-// kill.  Only consume(), consume_all() and live_sink() stream events
-// through one persistent filter, for callers that feed a live trace in
-// order.
+// one shard per lane's group of pids — analyzed from empty filter
+// state; shards meet only through the report merge.  That makes every
+// route over the same inputs bit-identical: serial, parallel, file by
+// file, directory, snapshot merge, serve push, and a checkpointed walk
+// resumed after a kill.  Only consume(), consume_all() and live_sink()
+// stream events through one persistent filter, for callers that feed a
+// live trace in order.
 #pragma once
 
 #include <istream>
@@ -88,14 +88,18 @@ class IOCov {
     /// Returns the number of malformed lines skipped.
     std::size_t consume_text(std::istream& in);
 
-    /// consume_text on `n_threads` lanes: the trace is split into line
-    /// chunks parsed in parallel, events are re-sharded by pid, and
-    /// each pid group runs filter+analyze on its own lane before the
-    /// reports merge here.  The filter's state is keyed strictly by
-    /// pid, so per-pid order — which sharding preserves — is all that
-    /// determinism needs: the result is bit-identical to consume_text.
-    /// `n_threads` 0 means hardware concurrency.  Returns the number of
-    /// malformed lines skipped.
+    /// consume_text on `n_threads` lanes.  The stream is read whole and
+    /// cut into line chunks; each chunk is parsed on a lane straight
+    /// into SoA rows over its own interned string table (no TraceEvent
+    /// per line), and that table is bound once.  Pids are placed on
+    /// lanes by row count (exec::lpt_place), and each lane walks the
+    /// chunks in order through the same admit_row -> materialize ->
+    /// analyze loop as consume_binary, before the reports merge here.
+    /// The filter's state is keyed by pid and fd, so per-pid order —
+    /// which placement preserves — is all that determinism needs: the
+    /// result is bit-identical to consume_text, and to consume_binary
+    /// on the same trace.  `n_threads` 0 means hardware concurrency.
+    /// Returns the number of malformed lines skipped.
     std::size_t consume_text_parallel(std::istream& in,
                                       unsigned n_threads = 0);
 
@@ -115,9 +119,10 @@ class IOCov {
 
     /// consume_binary on `n_threads` lanes, mirroring
     /// consume_text_parallel: one structural scan locates record
-    /// boundaries and pre-decodes pids, records are sharded by pid, and
-    /// each pid group decodes + filters + analyzes on its own lane
-    /// before the reports merge.  Bit-identical to consume_binary.
+    /// boundaries and pre-decodes pids, pids are placed on lanes by
+    /// record count (the footer's, or the scan's without one), and each
+    /// lane decodes + filters + analyzes its pids' records before the
+    /// reports merge.  Bit-identical to consume_binary.
     std::size_t consume_binary_parallel(std::string_view data,
                                         unsigned n_threads = 0);
 
@@ -232,6 +237,17 @@ class IOCov {
     /// below.  A non-empty `name` keys the shard's diagnostics (a
     /// directory file), appended in fold order.
     std::size_t fold(ShardResult&& shard, std::string_view name = {});
+
+    /// Runs body(lane, filter, analyzer, decode batch, scratch, result)
+    /// once per lane, `lane_rows[lane]` being the rows it owns (its
+    /// scheduling weight, and what a lost lane drops).  One lane runs in
+    /// place on this IOCov's analyzer, shard filter and scratch,
+    /// accounting into `call`; more lanes each run on a fresh filter and
+    /// analyzer, failure-isolated, and fold here in lane order.  Returns
+    /// the rows lost lanes dropped.  Defined in iocov.cpp, its only user.
+    template <class Body>
+    std::size_t run_lanes(const std::vector<std::uint64_t>& lane_rows,
+                          Body&& body, ShardResult& call);
 
     /// Kept beyond construction so every shard can build a fresh
     /// filter from the same configuration.

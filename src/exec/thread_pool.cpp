@@ -50,6 +50,37 @@ void ThreadPool::worker_loop() {
     }
 }
 
+namespace {
+
+/// Item indices by descending weight, ties in index order.
+std::vector<std::size_t> heaviest_first(
+    const std::vector<std::uint64_t>& weights) {
+    std::vector<std::size_t> order(weights.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return weights[a] > weights[b];
+                     });
+    return order;
+}
+
+}  // namespace
+
+std::vector<unsigned> lpt_place(const std::vector<std::uint64_t>& weights,
+                                unsigned lanes) {
+    lanes = std::max(lanes, 1u);
+    std::vector<std::uint64_t> load(lanes, 0);
+    std::vector<unsigned> lane_of(weights.size(), 0);
+    for (const std::size_t item : heaviest_first(weights)) {
+        unsigned lane = 0;
+        for (unsigned l = 1; l < lanes; ++l)
+            if (load[l] < load[lane]) lane = l;
+        lane_of[item] = lane;
+        load[lane] += std::max<std::uint64_t>(weights[item], 1);
+    }
+    return lane_of;
+}
+
 void parallel_for_stealing(ThreadPool& pool,
                            const std::vector<std::uint64_t>& weights,
                            const std::function<void(std::size_t)>& fn) {
@@ -77,21 +108,12 @@ void parallel_for_stealing(ThreadPool& pool,
     for (std::size_t i = 0; i < n; ++i)
         shared->item_weight[i] = weights[i] ? weights[i] : 1;
 
-    // LPT deal: heaviest item first onto the lightest lane.  Stable
-    // (ties keep index order) so the schedule is deterministic.
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return shared->item_weight[a] >
-                                shared->item_weight[b];
-                     });
-    for (const std::size_t item : order) {
-        std::size_t lane = 0;
-        for (std::size_t l = 1; l < lanes; ++l)
-            if (shared->lane_load[l] < shared->lane_load[lane]) lane = l;
-        shared->lane_items[lane].push_back(item);
-        shared->lane_load[lane] += shared->item_weight[item];
+    // LPT deal; each lane's deque runs heaviest first.
+    const auto placed = lpt_place(shared->item_weight,
+                                  static_cast<unsigned>(lanes));
+    for (const std::size_t item : heaviest_first(shared->item_weight)) {
+        shared->lane_items[placed[item]].push_back(item);
+        shared->lane_load[placed[item]] += shared->item_weight[item];
     }
 
     auto run_lane = [shared, &fn](std::size_t lane) {

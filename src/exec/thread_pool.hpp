@@ -48,9 +48,19 @@ class ThreadPool {
     bool stop_ = false;
 };
 
+/// Longest-processing-time placement of weighted items on `lanes` lanes
+/// (at least one): items are taken heaviest first, ties in index
+/// order, each onto the least-loaded lane so far, ties to the lowest
+/// lane; a zero weight counts as 1.  Returns each item's lane.  The
+/// result depends only on the weights, and with at least `lanes` items
+/// no lane is left empty.  parallel_for_stealing deals its items this
+/// way; the parallel ingest routes place pids by row count with it.
+std::vector<unsigned> lpt_place(const std::vector<std::uint64_t>& weights,
+                                unsigned lanes);
+
 /// Runs fn(0), ..., fn(n-1) for n = weights.size() on the pool and
-/// blocks until all complete.  Items are dealt longest-processing-
-/// time-first onto one deque per worker lane; each lane drains its own
+/// blocks until all complete.  Items are dealt by lpt_place onto one
+/// deque per worker lane, heaviest first; each lane drains its own
 /// deque from the front and, when empty, steals from the back of the
 /// most-loaded lane, so one huge item (say, a trace file scheduled by
 /// byte count) cannot serialize the tail of the run.  Equal weights

@@ -169,9 +169,15 @@ IoStatus AtomicWriter::open(std::string path, WriteOptions opts) {
     // O_EXCL + a counter suffix: two processes replacing the same
     // artifact never share a temp file; whoever renames last wins whole.
     for (unsigned attempt = 0; attempt < 64; ++attempt) {
-        temp_path_ = dir + "." + base + ".tmp." +
-                     std::to_string(static_cast<unsigned long>(::getpid())) +
-                     (attempt ? "." + std::to_string(attempt) : std::string());
+        const std::string pid =
+            std::to_string(static_cast<unsigned long>(::getpid()));
+        const std::string suffix = attempt ? std::to_string(attempt) : "";
+        temp_path_.clear();
+        temp_path_.reserve(dir.size() + base.size() + pid.size() +
+                           suffix.size() + 7);
+        temp_path_.append(dir).append(".").append(base).append(".tmp.");
+        temp_path_.append(pid);
+        if (attempt) temp_path_.append(".").append(suffix);
         fd_ = open_retry(temp_path_.c_str(),
                          O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
                          opts_.mode, IoPhase::TempCreate, opts_.retry,

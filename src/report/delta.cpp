@@ -60,12 +60,13 @@ std::string render_coverage_delta(const std::vector<SpaceDelta>& deltas) {
         rows.push_back({d.space, std::to_string(d.declared),
                         std::to_string(d.tested_before),
                         std::to_string(d.tested_after),
-                        "+" + std::to_string(d.closed()),
+                        std::string("+").append(std::to_string(d.closed())),
                         fixed(d.tcd_before, 3), fixed(d.tcd_after, 3)});
     }
     rows.push_back({"TOTAL", std::to_string(declared),
                     std::to_string(before), std::to_string(after),
-                    "+" + std::to_string(after - before), "", ""});
+                    std::string("+").append(std::to_string(after - before)),
+                    "", ""});
     return render_table({"space", "parts", "tested<", "tested>", "closed",
                          "tcd<", "tcd>"},
                         rows);

@@ -1,13 +1,13 @@
 // IOCT — the compact binary trace format.
 //
 // Text traces (text_format.hpp) are the compatibility format; IOCT is
-// the throughput format.  Parsing a text line costs a per-event burst
-// of small allocations (syscall name, arg names, unescaped strings) and
-// dominates the analysis pipeline now that the analyzer itself runs at
-// millions of events per second.  IOCT removes that cost structurally:
-// every string (syscall names, arg names, pathnames, xattr keys) is
-// interned once into a string table, and an event record is a handful
-// of varints referencing it — decodable into a reusable scratch
+// the throughput format.  Text is parsed into the same SoA rows IOCT
+// decodes into (EventBatch, below) over a string table interned per
+// chunk, but a text line still has to be scanned byte by byte and its
+// numbers converted from decimal and hex.  IOCT stores the result of
+// that work: every string (syscall names, arg names, pathnames, xattr
+// keys) is interned once into a string table, and an event record is a
+// handful of varints referencing it — decodable into a reusable scratch
 // TraceEvent with no per-event allocation after warm-up.
 //
 // File layout (all integers little-endian; full spec in DESIGN.md §6):

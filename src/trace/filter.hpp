@@ -11,10 +11,11 @@
 // LTTng trace.
 //
 // Two adapters feed one state machine.  admit() takes a materialized
-// TraceEvent (text traces, per-event consume).  admit_row() takes an
-// IOCT batch row before it is materialized: IOCT interns every string,
-// so bind() classifies each string-table entry once — syscall role, arg
-// kind, path scope — and a row is admitted by array lookups alone.
+// TraceEvent (per-event consume).  admit_row() takes a batch row —
+// decoded IOCT or parsed text — before it is materialized: both intern
+// every string, so bind() classifies each string-table entry once —
+// syscall role, arg kind, path scope — and a row is admitted by array
+// lookups alone.
 #pragma once
 
 #include <algorithm>

@@ -21,11 +21,13 @@ struct Cursor {
         while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
     }
 
-    /// Consumes characters until one of `stops` or end; returns them.
-    std::string_view take_until(std::string_view stops) {
+    /// Consumes characters until one of `Stops` or end; returns them.
+    /// The stop set is a template argument so the scan compiles to
+    /// plain compares, with no per-character search call.
+    template <char... Stops>
+    std::string_view take_until() {
         std::size_t i = 0;
-        while (i < rest.size() && stops.find(rest[i]) == std::string_view::npos)
-            ++i;
+        while (i < rest.size() && ((rest[i] != Stops) && ...)) ++i;
         auto out = rest.substr(0, i);
         rest.remove_prefix(i);
         return out;
@@ -44,40 +46,72 @@ std::optional<T> parse_number(std::string_view s, int base = 10) {
     return value;
 }
 
-std::optional<ArgValue> parse_value(Cursor& c, const char** reason) {
-    auto fail = [&](const char* r) -> std::nullopt_t {
-        if (reason) *reason = r;
-        return std::nullopt;
-    };
-    if (c.rest.empty()) return fail("missing argument value");
+/// Unescapes `s` into `out` (replacing it); false on an invalid
+/// escape sequence.
+bool unescape_into(std::string_view s, std::string& out) {
+    out.clear();
+    out.reserve(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        if (s[i] != '\\') {
+            out += s[i];
+            continue;
+        }
+        if (++i == s.size()) return false;
+        switch (s[i]) {
+            case '"': out += '"'; break;
+            case '\\': out += '\\'; break;
+            case 'n': out += '\n'; break;
+            case 't': out += '\t'; break;
+            default: return false;
+        }
+    }
+    return true;
+}
+
+/// Parses the argument value at the cursor into `arg` (type and raw
+/// value; the caller sets the name).  Returns nullptr, or the reason
+/// the value is malformed.
+const char* parse_value(Cursor& c, TextStrings& strings, BatchArg& arg) {
+    if (c.rest.empty()) return "missing argument value";
     if (c.rest.front() == '"') {
         c.rest.remove_prefix(1);
-        std::string raw;
-        while (!c.rest.empty() && c.rest.front() != '"') {
-            if (c.rest.front() == '\\') {
-                if (c.rest.size() < 2)
-                    return fail("truncated escape sequence");
-                raw += c.rest.substr(0, 2);
-                c.rest.remove_prefix(2);
-            } else {
-                raw += c.rest.front();
-                c.rest.remove_prefix(1);
+        std::size_t end = 0;
+        bool escaped = false;
+        while (end < c.rest.size() && c.rest[end] != '"') {
+            if (c.rest[end] != '\\') {
+                ++end;
+                continue;
             }
+            if (c.rest.size() - end < 2) return "truncated escape sequence";
+            escaped = true;
+            end += 2;
         }
-        if (!c.consume("\"")) return fail("unterminated string value");
-        auto unescaped = unescape_string(raw);
-        if (!unescaped) return fail("invalid escape sequence");
-        return ArgValue{std::move(*unescaped)};
+        if (end == c.rest.size()) return "unterminated string value";
+        const std::string_view raw = c.rest.substr(0, end);
+        c.rest.remove_prefix(end + 1);
+        arg.type = ArgType::Str;
+        if (!escaped) {
+            arg.raw = strings.intern(raw);
+            return nullptr;
+        }
+        const auto id = strings.intern_unescaped(raw);
+        if (!id) return "invalid escape sequence";
+        arg.raw = *id;
+        return nullptr;
     }
-    auto token = c.take_until(", =");
+    const auto token = c.take_until<',', ' ', '='>();
     if (token.starts_with("0x")) {
-        auto u = parse_number<std::uint64_t>(token.substr(2), 16);
-        if (!u) return fail("bad hex argument value");
-        return ArgValue{*u};
+        const auto u = parse_number<std::uint64_t>(token.substr(2), 16);
+        if (!u) return "bad hex argument value";
+        arg.type = ArgType::Uint;
+        arg.raw = *u;
+        return nullptr;
     }
-    auto i = parse_number<std::int64_t>(token);
-    if (!i) return fail("bad numeric argument value");
-    return ArgValue{*i};
+    const auto i = parse_number<std::int64_t>(token);
+    if (!i) return "bad numeric argument value";
+    arg.type = ArgType::Int;
+    arg.raw = static_cast<std::uint64_t>(*i);
+    return nullptr;
 }
 
 }  // namespace
@@ -99,22 +133,36 @@ std::string escape_string(std::string_view s) {
 
 std::optional<std::string> unescape_string(std::string_view s) {
     std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\') {
-            out += s[i];
-            continue;
-        }
-        if (++i == s.size()) return std::nullopt;
-        switch (s[i]) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            default: return std::nullopt;
-        }
-    }
+    if (!unescape_into(s, out)) return std::nullopt;
     return out;
+}
+
+// ---- TextStrings -----------------------------------------------------------
+
+std::uint32_t TextStrings::intern(std::string_view s) {
+    return lookup(s, false);
+}
+
+std::optional<std::uint32_t> TextStrings::intern_unescaped(
+    std::string_view escaped) {
+    if (!unescape_into(escaped, unescaped_)) return std::nullopt;
+    return lookup(unescaped_, true);
+}
+
+std::uint32_t TextStrings::lookup(std::string_view s, bool copy) {
+    const auto it = ids_.find(s);
+    if (it != ids_.end()) return it->second;
+    if (copy) s = arena_.emplace_back(s);
+    const auto id = static_cast<std::uint32_t>(strings_.size());
+    strings_.push_back(s);
+    ids_.emplace(s, id);
+    return id;
+}
+
+void TextStrings::clear() {
+    strings_.clear();
+    ids_.clear();
+    arena_.clear();
 }
 
 std::string format_event(const TraceEvent& event) {
@@ -147,59 +195,75 @@ std::string format_event(const TraceEvent& event) {
     return out;
 }
 
-std::optional<TraceEvent> parse_event(std::string_view line,
-                                      const char** reason) {
+bool parse_row(std::string_view line, EventBatch& out, TextStrings& strings,
+               const char** reason) {
     Cursor c{line};
-    TraceEvent ev;
-    auto fail = [&](const char* r) -> std::nullopt_t {
+    const std::size_t arg_begin = out.args.size();
+    auto fail = [&](const char* r) {
+        out.args.resize(arg_begin);
         if (reason) *reason = r;
-        return std::nullopt;
+        return false;
     };
+    BatchRow row;
 
     if (!c.consume("[")) return fail("missing '[seq]' header");
-    auto seq = parse_number<std::uint64_t>(c.take_until("]"));
+    const auto seq = parse_number<std::uint64_t>(c.take_until<']'>());
     if (!seq || !c.consume("]")) return fail("bad sequence number");
-    ev.seq = *seq;
+    row.seq = *seq;
 
     c.skip_spaces();
     if (!c.consume("pid=")) return fail("missing pid field");
-    auto pid = parse_number<std::uint32_t>(c.take_until(" "));
+    const auto pid = parse_number<std::uint32_t>(c.take_until<' '>());
     if (!pid) return fail("bad pid");
-    ev.pid = *pid;
+    row.pid = *pid;
 
     c.skip_spaces();
     if (!c.consume("tid=")) return fail("missing tid field");
-    auto tid = parse_number<std::uint32_t>(c.take_until(" "));
+    const auto tid = parse_number<std::uint32_t>(c.take_until<' '>());
     if (!tid) return fail("bad tid");
-    ev.tid = *tid;
+    row.tid = *tid;
 
     c.skip_spaces();
-    auto name = c.take_until(":");
+    const auto name = c.take_until<':'>();
     if (name.empty() || !c.consume(":")) return fail("missing syscall name");
-    ev.syscall = std::string(name);
 
     // Arguments until the " = ret" tail.
     for (;;) {
         c.skip_spaces();
         if (c.rest.starts_with("= ")) break;  // no more args
-        auto arg_name = c.take_until("=");
+        const auto arg_name = c.take_until<'='>();
         if (arg_name.empty() || !c.consume("="))
             return fail("missing argument name");
-        auto value = parse_value(c, reason);
-        if (!value) return std::nullopt;  // parse_value set the reason
-        ev.args.push_back({std::string(arg_name), std::move(*value)});
+        BatchArg arg;
+        if (const char* r = parse_value(c, strings, arg)) return fail(r);
+        arg.name_id = strings.intern(arg_name);
+        out.args.push_back(arg);
         c.skip_spaces();
         if (c.consume(",")) continue;
         if (c.rest.starts_with("= ")) break;
         return fail("malformed argument separator");
     }
     if (!c.consume("= ")) return fail("missing '= ret' tail");
-    auto ret = parse_number<std::int64_t>(c.take_until(" "));
+    const auto ret = parse_number<std::int64_t>(c.take_until<' '>());
     if (!ret) return fail("bad return value");
-    ev.ret = *ret;
+    row.ret = *ret;
     c.skip_spaces();
     if (!c.rest.empty()) return fail("trailing bytes after return value");
-    return ev;
+
+    row.name_id = strings.intern(name);
+    row.arg_begin = arg_begin;
+    row.arg_count = static_cast<std::uint32_t>(out.args.size() - arg_begin);
+    out.rows.push_back(row);
+    return true;
+}
+
+std::optional<TraceEvent> parse_event(std::string_view line,
+                                      const char** reason) {
+    EventBatch batch;
+    TextStrings strings;
+    if (!parse_row(line, batch, strings, reason)) return std::nullopt;
+    EventScratch scratch;
+    return scratch.materialize(batch, 0, strings.strings());
 }
 
 std::vector<std::string_view> split_line_chunks(std::string_view text,
@@ -222,21 +286,23 @@ std::vector<std::string_view> split_line_chunks(std::string_view text,
     return chunks;
 }
 
-std::vector<TraceEvent> parse_chunk(std::string_view chunk,
-                                    std::size_t* dropped,
-                                    ParseDiagnostics* diags,
-                                    std::uint64_t first_line,
-                                    std::uint64_t base_offset) {
-    std::vector<TraceEvent> out;
+std::size_t parse_chunk_rows(std::string_view chunk, EventBatch& out,
+                             TextStrings& strings, std::size_t* dropped,
+                             ParseDiagnostics* diags,
+                             std::uint64_t first_line,
+                             std::uint64_t base_offset) {
     if (dropped) *dropped = 0;
-    // Lines average ~80 bytes in this format; reserve a conservative
-    // estimate to avoid repeated growth during the parallel parse.
-    out.reserve(chunk.size() / 96 + 1);
+    const std::size_t rows0 = out.rows.size();
+    // Lines run ~50-100 bytes with ~3-4 args; reserve generously (the
+    // untouched tail of a large reservation costs address space, not
+    // memory) so the parse loop never re-grows the arrays.
+    out.rows.reserve(rows0 + chunk.size() / 48 + 1);
+    out.args.reserve(out.args.size() + chunk.size() / 16 + 1);
     std::uint64_t line_no = first_line;
     std::uint64_t offset = base_offset;
     while (!chunk.empty()) {
-        std::size_t eol = chunk.find('\n');
-        std::string_view line = chunk.substr(0, eol);
+        const std::size_t eol = chunk.find('\n');
+        const std::string_view line = chunk.substr(0, eol);
         const std::size_t consumed =
             eol == std::string_view::npos ? chunk.size() : eol + 1;
         chunk.remove_prefix(consumed);
@@ -245,37 +311,62 @@ std::vector<TraceEvent> parse_chunk(std::string_view chunk,
         const std::uint64_t this_line = line_no++;
         if (line.empty() || line[0] == '#') continue;
         const char* reason = "malformed line";
-        if (auto ev = parse_event(line, &reason)) {
-            out.push_back(std::move(*ev));
-        } else {
+        if (!parse_row(line, out, strings, &reason)) {
             if (dropped) ++*dropped;
             if (diags) diags->record(this_line, line_offset, reason, line);
         }
     }
+    return out.rows.size() - rows0;
+}
+
+std::vector<TraceEvent> parse_chunk(std::string_view chunk,
+                                    std::size_t* dropped,
+                                    ParseDiagnostics* diags,
+                                    std::uint64_t first_line,
+                                    std::uint64_t base_offset) {
+    EventBatch batch;
+    TextStrings strings;
+    parse_chunk_rows(chunk, batch, strings, dropped, diags, first_line,
+                     base_offset);
+    std::vector<TraceEvent> out;
+    out.reserve(batch.rows.size());
+    EventScratch scratch;
+    for (std::size_t r = 0; r < batch.rows.size(); ++r)
+        out.push_back(scratch.materialize(batch, r, strings.strings()));
     return out;
 }
 
 std::vector<TraceEvent> parse_stream(std::istream& in, std::size_t* dropped,
                                      ParseDiagnostics* diags) {
-    std::vector<TraceEvent> out;
-    if (dropped) *dropped = 0;
-    std::string line;
-    std::uint64_t line_no = 0;
-    std::uint64_t offset = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const std::uint64_t line_offset = offset;
-        offset += line.size() + 1;  // getline consumed the '\n'
-        if (line.empty() || line[0] == '#') continue;
-        const char* reason = "malformed line";
-        if (auto ev = parse_event(line, &reason)) {
-            out.push_back(std::move(*ev));
-        } else {
-            if (dropped) ++*dropped;
-            if (diags) diags->record(line_no, line_offset, reason, line);
+    return parse_chunk(read_text(in), dropped, diags);
+}
+
+std::string read_text(std::istream& in) {
+    constexpr std::size_t kStep = 64 * 1024;
+    std::string text;
+    std::streambuf* buf = in.rdbuf();
+    if (!buf) return text;
+    using Traits = std::char_traits<char>;
+    const auto here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+    if (here != std::streampos(-1)) {
+        const auto end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+        const bool back = buf->pubseekpos(here, std::ios::in) == here;
+        if (back && end != std::streampos(-1) && end > here) {
+            text.resize(static_cast<std::size_t>(end - here));
+            text.resize(static_cast<std::size_t>(
+                buf->sgetn(text.data(),
+                           static_cast<std::streamsize>(text.size()))));
         }
     }
-    return out;
+    // A stream that cannot seek, or one that grew after the size probe.
+    while (!Traits::eq_int_type(buf->sgetc(), Traits::eof())) {
+        const std::size_t old = text.size();
+        text.resize(old + kStep);
+        const auto got = buf->sgetn(text.data() + old,
+                                    static_cast<std::streamsize>(kStep));
+        text.resize(old + static_cast<std::size_t>(got));
+    }
+    return text;
 }
 
 }  // namespace iocov::trace

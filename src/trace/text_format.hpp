@@ -9,14 +9,25 @@
 // with backslash escapes.  The parser accepts exactly what format_event
 // produces, enabling the trace-file -> analyzer pipeline of the real
 // IOCov tool and round-trip tests.
+//
+// There is one grammar, parse_row(): it parses a line into an IOCT-style
+// SoA row (trace::EventBatch) whose strings are ids into a TextStrings
+// table of views aliasing the text, so a parsed chunk allocates per
+// distinct string, not per event, and feeds the same admit_row ->
+// materialize -> analyze loop as an IOCT trace.  parse_event,
+// parse_chunk and parse_stream are adapters that materialize its rows
+// into TraceEvents.
 #pragma once
 
+#include <deque>
 #include <istream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "trace/binary_format.hpp"
 #include "trace/diagnostics.hpp"
 #include "trace/event.hpp"
 
@@ -25,10 +36,50 @@ namespace iocov::trace {
 /// Renders one event as a single line (no trailing newline).
 std::string format_event(const TraceEvent& event);
 
-/// Parses a line produced by format_event. Returns nullopt on malformed
-/// input (never throws; trace files may be truncated mid-line).  On
-/// failure, `*reason` (when non-null) names the first malformed field
-/// as a static string — no allocation on the reject path.
+/// The string table of parsed text rows: each distinct syscall name, arg
+/// name and string value gets one id, in order of first use, like an
+/// IOCT string table (and bound the same way, SyscallTable::bind_all
+/// and TraceFilter::bind).  Entries are views into the parsed text;
+/// only strings that had escapes are unescaped into an arena whose
+/// addresses stay stable until clear().
+class TextStrings {
+  public:
+    /// Id of `s`, which must outlive the table (a view into the text).
+    std::uint32_t intern(std::string_view s);
+    /// Id of unescape_string(`escaped`), the unescaped bytes copied into
+    /// the arena when new; nullopt on an invalid escape sequence.
+    std::optional<std::uint32_t> intern_unescaped(std::string_view escaped);
+
+    const std::vector<std::string_view>& strings() const { return strings_; }
+
+    /// Forgets every entry.
+    void clear();
+
+  private:
+    /// intern()'s lookup; a new `s` is first copied into the arena when
+    /// `copy` is set.
+    std::uint32_t lookup(std::string_view s, bool copy);
+
+    std::vector<std::string_view> strings_;
+    std::unordered_map<std::string_view, std::uint32_t> ids_;
+    std::deque<std::string> arena_;  ///< unescaped strings (stable)
+    std::string unescaped_;          ///< intern_unescaped's scratch
+};
+
+/// The text grammar.  Parses a line produced by format_event into one
+/// row appended to `out`, every string interned into `strings` (so
+/// `line` must outlive `strings`).  Names and string values become Str
+/// args, 0x-hex numbers Uint and decimal numbers Int — exactly the
+/// types IOCT encodes for the event parse_event returns.  On malformed
+/// input returns false and appends no row or arg (strings interned
+/// before the fault may stay), with `*reason` (when non-null) naming
+/// the first malformed field as a static string.
+bool parse_row(std::string_view line, EventBatch& out, TextStrings& strings,
+               const char** reason = nullptr);
+
+/// parse_row of one line, materialized.  Returns nullopt on malformed
+/// input (never throws; trace files may be truncated mid-line), with
+/// parse_row's `*reason`.
 std::optional<TraceEvent> parse_event(std::string_view line,
                                       const char** reason = nullptr);
 
@@ -48,8 +99,22 @@ std::vector<TraceEvent> parse_stream(std::istream& in,
 std::vector<std::string_view> split_line_chunks(std::string_view text,
                                                 std::size_t n_chunks);
 
+/// parse_row over every line of `chunk`, skipping blank lines and '#'
+/// comments: appends one row per well-formed line to `out`, interning
+/// into `strings` (both may already hold earlier rows).  Malformed
+/// lines are counted into *dropped (when non-null, which is reset
+/// first) and recorded into `diags` with their line number and byte
+/// offset, `first_line`/`base_offset` positioning the chunk within the
+/// whole input.  Returns the number of rows appended.
+std::size_t parse_chunk_rows(std::string_view chunk, EventBatch& out,
+                             TextStrings& strings,
+                             std::size_t* dropped = nullptr,
+                             ParseDiagnostics* diags = nullptr,
+                             std::uint64_t first_line = 1,
+                             std::uint64_t base_offset = 0);
+
 /// parse_stream over one in-memory chunk: same blank/'#'/malformed-line
-/// handling, no istream.  Each parallel worker runs this on its chunk.
+/// handling, no istream: parse_chunk_rows with every row materialized.
 /// `first_line`/`base_offset` position the chunk within the whole
 /// input so diagnostics carry file-absolute line numbers and offsets.
 std::vector<TraceEvent> parse_chunk(std::string_view chunk,
@@ -57,6 +122,11 @@ std::vector<TraceEvent> parse_chunk(std::string_view chunk,
                                     ParseDiagnostics* diags = nullptr,
                                     std::uint64_t first_line = 1,
                                     std::uint64_t base_offset = 0);
+
+/// Reads the rest of `in` into one buffer, byte for byte: one bulk read
+/// sized from the end position when the stream can seek, 64 KiB reads
+/// otherwise.
+std::string read_text(std::istream& in);
 
 /// Escapes a string for quoting inside a trace line.
 std::string escape_string(std::string_view s);

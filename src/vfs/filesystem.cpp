@@ -211,11 +211,14 @@ Result<ParentAndName> FileSystem::resolve_parent(std::string_view path,
 
     // Re-join the directory part and resolve it (always following
     // intermediate symlinks).
+    std::size_t dir_len = comps.size() + 1;
+    for (const auto& comp : comps) dir_len += comp.size();
     std::string dir_part;
-    if (is_absolute(path)) dir_part = "/";
+    dir_part.reserve(dir_len);
+    if (is_absolute(path)) dir_part.append("/");
     for (std::size_t i = 0; i < comps.size(); ++i) {
-        if (i) dir_part += '/';
-        dir_part += comps[i];
+        if (i) dir_part.append("/");
+        dir_part.append(comps[i]);
     }
     ResolveOpts dir_opts = opts;
     dir_opts.follow_final = true;

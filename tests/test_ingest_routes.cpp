@@ -251,6 +251,38 @@ TEST_F(IngestRoutes, EveryRouteProducesTheSameSnapshot) {
     }
 }
 
+TEST_F(IngestRoutes, AllEvenPidsOnFourLanesMatchSerial) {
+    // Every pid even: `pid % 4` would leave lanes 1 and 3 idle, so this
+    // is the input where lane placement decides which lane analyzes
+    // which pid.  Text and IOCT at 4 threads must still equal serial.
+    auto events = seeded_trace(20261019, 4000);
+    for (auto& ev : events) {
+        ev.pid *= 2;  // 200, 202, ..., 208
+        ev.tid = ev.pid;
+    }
+    const std::string text = to_text(events);
+    const std::string ioct = trace::encode_trace(events);
+
+    IOCov serial;
+    std::istringstream serial_in(text);
+    serial.consume_text(serial_in);
+    const std::string want = judged(serial.snapshot());
+    ASSERT_GT(serial.report().events_tracked, 0u);
+
+    IOCov text4;
+    std::istringstream text4_in(text);
+    text4.consume_text_parallel(text4_in, 4);
+    EXPECT_EQ(judged(text4.snapshot()), want) << "text, 4 threads";
+
+    IOCov ioct1;
+    ioct1.consume_binary(ioct);
+    EXPECT_EQ(judged(ioct1.snapshot()), want) << "IOCT, 1 thread";
+
+    IOCov ioct4;
+    ioct4.consume_binary_parallel(ioct, 4);
+    EXPECT_EQ(judged(ioct4.snapshot()), want) << "IOCT, 4 threads";
+}
+
 TEST_F(IngestRoutes, FixtureCarriesFilterStateAcrossFileBoundaries) {
     // Streaming all three parts through one persistent filter must see
     // a different trace than three shards: otherwise the matrix above

@@ -9,8 +9,10 @@
 // shard-merge order cannot leak into the report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -164,6 +166,65 @@ TEST(ThreadPool, OneLaneIsAPlainLoopWithTheSameContract) {
     exec::parallel_for_stealing(8u, std::vector<std::uint64_t>(3, 1),
                                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// ---- pid placement (exec::lpt_place) ---------------------------------------
+
+TEST(WorkStealing, PlacementLeavesNoLaneEmptyForAllEvenPids) {
+    // 16 even pids with skewed row counts: `pid % 4` would put them all
+    // on lanes 0 and 2.  Placement by count must use every lane.
+    std::vector<std::uint32_t> pids;
+    std::vector<std::uint64_t> counts;
+    for (std::uint32_t k = 0; k < 16; ++k) {
+        pids.push_back(2 * k + 100);
+        counts.push_back(1000 + (k * 7919) % 5000);
+    }
+    std::vector<bool> mod_used(4, false);
+    for (const auto pid : pids) mod_used[pid % 4] = true;
+    EXPECT_FALSE(mod_used[1] || mod_used[3]);
+
+    const auto lanes = exec::lpt_place(counts, 4);
+    std::vector<std::uint64_t> load(4, 0);
+    for (std::size_t i = 0; i < lanes.size(); ++i) load[lanes[i]] += counts[i];
+    for (unsigned l = 0; l < 4; ++l) EXPECT_GT(load[l], 0u) << "lane " << l;
+}
+
+TEST(WorkStealing, PlacementIsDeterministic) {
+    std::vector<std::uint64_t> weights;
+    for (std::uint64_t i = 0; i < 40; ++i) weights.push_back((i * 37) % 11);
+    const auto first = exec::lpt_place(weights, 4);
+    for (int rep = 0; rep < 5; ++rep)
+        EXPECT_EQ(exec::lpt_place(weights, 4), first);
+    // Equal weights deal round-robin in index order.
+    EXPECT_EQ(exec::lpt_place(std::vector<std::uint64_t>(6, 5), 4),
+              (std::vector<unsigned>{0, 1, 2, 3, 0, 1}));
+}
+
+TEST(WorkStealing, PlacementGivesEveryPidExactlyOneLaneAndBalances) {
+    std::mt19937_64 rng(7);
+    for (unsigned lanes = 1; lanes <= 8; ++lanes) {
+        for (std::size_t n = 0; n <= 24; ++n) {
+            std::vector<std::uint64_t> weights(n);
+            for (auto& w : weights) w = rng() % 1000;
+            const auto placed = exec::lpt_place(weights, lanes);
+            ASSERT_EQ(placed.size(), n);
+            std::vector<std::uint64_t> load(lanes, 0);
+            std::uint64_t heaviest = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_LT(placed[i], lanes);
+                const std::uint64_t w = std::max<std::uint64_t>(weights[i], 1);
+                load[placed[i]] += w;
+                heaviest = std::max(heaviest, w);
+            }
+            // Greedy placement bound: the fullest lane exceeds the
+            // emptiest by at most one item.
+            const auto [lo, hi] = std::minmax_element(load.begin(), load.end());
+            EXPECT_LE(*hi, *lo + heaviest) << lanes << " lanes, " << n;
+            if (n >= lanes) {
+                EXPECT_GT(*lo, 0u) << lanes << " lanes, " << n;
+            }
+        }
+    }
 }
 
 // ---- work stealing ---------------------------------------------------------

@@ -247,15 +247,17 @@ TEST(LiveCoverage, AnyPushOrderMatchesBatchBitIdentically) {
 
     core::LiveCoverage fwd, rev, threaded;
     for (std::size_t i = 0; i < shards.size(); ++i) {
-        const auto r = fwd.push("s" + std::to_string(i), shards[i]);
+        const auto r =
+            fwd.push(std::string("s").append(std::to_string(i)), shards[i]);
         EXPECT_TRUE(r.accepted);
         EXPECT_EQ(r.epoch, i + 1);
         EXPECT_GT(r.events, 0u);
     }
     for (std::size_t i = shards.size(); i-- > 0;)
-        rev.push("s" + std::to_string(i), shards[i]);
+        rev.push(std::string("s").append(std::to_string(i)), shards[i]);
     for (std::size_t i = 0; i < shards.size(); ++i)
-        threaded.push("s" + std::to_string(i), shards[i], 4);
+        threaded.push(std::string("s").append(std::to_string(i)), shards[i],
+                      4);
 
     EXPECT_EQ(report_text(fwd.read()->state.report), want);
     EXPECT_EQ(report_text(rev.read()->state.report), want);
@@ -336,7 +338,8 @@ TEST(LiveCoverage, RestoreThenRepushEverythingConverges) {
     resumed.restore(checkpointed->state, {"s0", "s1"});
     EXPECT_EQ(resumed.epoch(), 2u);
     for (std::size_t i = 0; i < shards.size(); ++i) {
-        const auto r = resumed.push("s" + std::to_string(i), shards[i]);
+        const auto r = resumed.push(
+            std::string("s").append(std::to_string(i)), shards[i]);
         EXPECT_EQ(r.accepted, i >= 2) << "restored names must dedup";
     }
     EXPECT_EQ(report_text(resumed.read()->state.report), want);
@@ -373,7 +376,10 @@ TEST(LiveCoverage, ConcurrentPushesAndReadsStayConsistent) {
     for (int w = 0; w < kWriters; ++w) {
         writers.emplace_back([&, w] {
             for (int i = 0; i < kPerWriter; ++i)
-                live.push("w" + std::to_string(w) + "_" + std::to_string(i),
+                live.push(std::string("w")
+                              .append(std::to_string(w))
+                              .append("_")
+                              .append(std::to_string(i)),
                           shard);
         });
     }

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <ostream>
+#include <random>
 #include <sstream>
+
+#include "trace/binary_format.hpp"
 
 namespace iocov::trace {
 namespace {
@@ -211,6 +217,269 @@ TEST(TextFormat, ParseChunkPositionsDiagnosticsAbsolutely) {
     EXPECT_EQ(diags.entries()[0].offset, 5000u);
     EXPECT_EQ(diags.entries()[1].line, 42u);
     EXPECT_EQ(diags.entries()[1].offset, 5008u);
+}
+
+// ---- one grammar: parse_row == parse_event --------------------------------
+
+/// A line as C++ source, so a failing case can be pasted into a test.
+std::string as_literal(std::string_view line) {
+    std::string out = "\"";
+    for (const char ch : line) {
+        if (ch == '"' || ch == '\\') {
+            out += '\\';
+            out += ch;
+        } else if (ch == '\n') {
+            out += "\\n";
+        } else if (ch == '\t') {
+            out += "\\t";
+        } else if (ch == '\0') {
+            out += "\\0";
+        } else {
+            out += ch;
+        }
+    }
+    return out + "\"";
+}
+
+/// Random events whose strings draw on the grammar's delimiters, so
+/// format_event's lines exercise every escape and separator.
+TraceEvent adversarial_event(std::mt19937_64& rng) {
+    static const char* const kNames[] = {"open", "openat", "pwrite64",
+                                         "x", "a b", "x=y", "s,t"};
+    static const char* const kArgs[] = {"fd", "pathname", "flags", "buf",
+                                        "a b", "p,q", "count"};
+    static const char kAlphabet[] = {'a', '/', ',', '=', ' ', '"', '\\',
+                                     '\n', '\t', '\0', ':', '#', '0', 'x'};
+    TraceEvent ev;
+    const std::uint64_t pick = rng() % 4;
+    ev.seq = pick == 0 ? std::numeric_limits<std::uint64_t>::max()
+                       : rng() % 1000;
+    ev.pid = pick == 1 ? std::numeric_limits<std::uint32_t>::max()
+                       : static_cast<std::uint32_t>(rng() % 64);
+    ev.tid = pick == 2 ? 0 : ev.pid;
+    ev.syscall = kNames[rng() % std::size(kNames)];
+    const std::size_t argc = rng() % 5;  // zero-arg events included
+    for (std::size_t i = 0; i < argc; ++i) {
+        Arg arg;
+        arg.name = kArgs[rng() % std::size(kArgs)];  // repeats happen
+        switch (rng() % 5) {
+            case 0:
+                arg.value = std::numeric_limits<std::int64_t>::min() +
+                            static_cast<std::int64_t>(rng() % 3);
+                break;
+            case 1:
+                arg.value = static_cast<std::int64_t>(rng() % 200) - 100;
+                break;
+            case 2: arg.value = std::uint64_t{rng()}; break;
+            default: {
+                std::string str;
+                const std::size_t len = rng() % 8;
+                for (std::size_t k = 0; k < len; ++k)
+                    str += kAlphabet[rng() % sizeof kAlphabet];
+                if (rng() % 4 == 0) str += rng() % 2 ? ", =" : "= ";
+                arg.value = std::move(str);
+            }
+        }
+        ev.args.push_back(std::move(arg));
+    }
+    ev.ret = pick == 3 ? std::numeric_limits<std::int64_t>::min()
+                       : static_cast<std::int64_t>(rng() % 64) - 32;
+    return ev;
+}
+
+std::vector<std::string> adversarial_lines(std::uint64_t seed) {
+    std::vector<std::string> lines = {
+        "",
+        "# comment",
+        "[1] pid=1 tid=1 close: = 0",
+        "[1] pid=1 tid=1 close:= 0",
+        "[1] pid=1 tid=1 close: fd=3, = 0",
+        "[18446744073709551615] pid=4294967295 tid=4294967295 x: = "
+        "9223372036854775807",
+        "[18446744073709551616] pid=1 tid=1 x: = 0",
+        "[1] pid=4294967296 tid=1 x: = 0",
+        "[1] pid=1 tid=4294967296 x: = 0",
+        "[1] pid=1 tid=1 x: = 9223372036854775808",
+        "[1] pid=1 tid=1 x: = -9223372036854775809",
+        "[1] pid=1 tid=1 x: = -9223372036854775808",
+        "[1] pid=1 tid=1 x: a=-9223372036854775809 = 0",
+        "[1] pid=1 tid=1 x: a=0x10000000000000000 = 0",
+        "[1] pid=1 tid=1 x: a=0xffffffffffffffff = 0",
+        "[1] pid=1 tid=1 x: a=0x = 0",
+        "[1] pid=1 tid=1 x: a=0x-1 = 0",
+        "[1] pid=1 tid=1 x: a=+1 = 0",
+        "[1] pid=1 tid=1 x: a=\"q\\\"\\\\\\n\\t\" = 0",
+        "[1] pid=1 tid=1 x: a=\"bad \\q escape\" = 0",
+        "[1] pid=1 tid=1 x: a=\"lone \\",
+        "[1] pid=1 tid=1 x: a=\"unterminated = 0",
+        "[1] pid=1 tid=1 x: a=\", =\", b=\"= \", c=\"x\" = 0",
+        "[1] pid=1 tid=1 x: a=1, a=\"two\", a=0x3 = 0",
+        "[1] pid=1 tid=1 x: a=1 b=2 = 0",
+        "[1] pid=1 tid=1 x: =1 = 0",
+        "[1] pid=1 tid=1 x: a= = 0",
+        "[1] pid=1 tid=1 x: a=1 = 0 trailing",
+        "[1] pid=1 tid=1 x: a=1 = 0   ",
+        "[1]pid=1 tid=1 x: = 0",
+        "[1] pid=1  tid=1  x: = 0",
+        "[1] pid= tid=1 x: = 0",
+        "[] pid=1 tid=1 x: = 0",
+        "[1 pid=1 tid=1 x: = 0",
+        "[1] pid=1 tid=1 : = 0",
+        "[1] pid=1 tid=1 x = 0",
+    };
+    // Literals with an embedded NUL, kept whole.
+    const auto whole = [](const auto& lit) {
+        return std::string(lit, sizeof lit - 1);
+    };
+    lines.push_back(whole("[1] pid=1 tid=1 x: a=\"nul\0in\" = 0"));
+    lines.push_back(whole("[1] pid=1 tid=1 x\0y: = 0"));
+    lines.push_back(whole("[1] pid=1 tid=1 x: a=1\0 = 0"));
+
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 150; ++i) {
+        const std::string line = format_event(adversarial_event(rng));
+        // Every byte cut of a valid line.
+        for (std::size_t cut = 0; cut <= line.size(); ++cut)
+            lines.push_back(line.substr(0, cut));
+        // Point mutations with the grammar's own delimiters.
+        static const char kSwap[] = {' ', '=', ',', '"', '\\', ']', ':',
+                                     '\0', 'x', '-', '9'};
+        for (int m = 0; m < 8; ++m) {
+            std::string mutated = line;
+            mutated[rng() % mutated.size()] = kSwap[rng() % sizeof kSwap];
+            lines.push_back(std::move(mutated));
+        }
+    }
+    return lines;
+}
+
+TEST(TextFormat, RowParseMatchesParseEvent) {
+    // All lines share one batch and one string table, so interning
+    // across lines, arena stability and rejected-line rollback are
+    // exercised the way parse_chunk_rows uses them.
+    const auto lines = adversarial_lines(20261019);
+    EventBatch batch;
+    TextStrings strings;
+    EventScratch scratch;
+    std::vector<TraceEvent> accepted;
+    std::size_t rejected = 0;
+    for (const auto& line : lines) {
+        if (line.empty() || line[0] == '#') continue;  // chunk-level only
+        const char* want_reason = "unset";
+        const char* got_reason = "unset";
+        const auto want = parse_event(line, &want_reason);
+        const std::size_t rows0 = batch.rows.size();
+        const std::size_t args0 = batch.args.size();
+        const bool ok = parse_row(line, batch, strings, &got_reason);
+        const bool same =
+            ok == want.has_value() &&
+            (ok ? batch.rows.size() == rows0 + 1 &&
+                      scratch.materialize(batch, rows0, strings.strings()) ==
+                          *want
+                : batch.rows.size() == rows0 && batch.args.size() == args0 &&
+                      std::strcmp(want_reason, got_reason) == 0);
+        if (!same) {
+            FAIL() << "first diverging line: " << as_literal(line)
+                   << " (parse_event: " << (want ? "accepted" : want_reason)
+                   << ", parse_row: " << (ok ? "accepted" : got_reason)
+                   << ")";
+        }
+        if (ok) accepted.push_back(*want);
+        else ++rejected;
+    }
+    ASSERT_GT(accepted.size(), 150u);
+    ASSERT_GT(rejected, 1000u);
+    // Rows parsed early still read their strings after the table grew.
+    ASSERT_EQ(batch.rows.size(), accepted.size());
+    for (std::size_t r = 0; r < accepted.size(); ++r)
+        ASSERT_EQ(scratch.materialize(batch, r, strings.strings()),
+                  accepted[r])
+            << "row " << r;
+
+    // Arg types and values are the ones IOCT encodes for the same event.
+    const std::string ioct = encode_trace(accepted);
+    const auto scan = scan_ioct(ioct);
+    EventBatch decoded;
+    decode_batch(ioct, scan.strings, scan.events.data(), scan.events.size(),
+                 decoded);
+    ASSERT_EQ(decoded.rows.size(), batch.rows.size());
+    ASSERT_EQ(decoded.args.size(), batch.args.size());
+    for (std::size_t a = 0; a < batch.args.size(); ++a) {
+        const BatchArg& text = batch.args[a];
+        const BatchArg& bin = decoded.args[a];
+        ASSERT_EQ(text.type, bin.type) << "arg " << a;
+        if (text.type == ArgType::Str)
+            ASSERT_EQ(strings.strings()[text.raw], scan.strings[bin.raw])
+                << "arg " << a;
+        else
+            ASSERT_EQ(text.raw, bin.raw) << "arg " << a;
+    }
+
+    // Chunk level: comments, empty lines, drop counts and diagnostics
+    // (line, offset, reason, excerpt) agree with parse_stream.
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    std::size_t row_dropped = 0, stream_dropped = 0;
+    ParseDiagnostics row_diags(100000), stream_diags(100000);
+    EventBatch chunk_rows;
+    TextStrings chunk_strings;
+    parse_chunk_rows(text, chunk_rows, chunk_strings, &row_dropped,
+                     &row_diags);
+    std::istringstream in(text);
+    const auto events = parse_stream(in, &stream_dropped, &stream_diags);
+    EXPECT_EQ(row_dropped, stream_dropped);
+    EXPECT_EQ(row_dropped, rejected);
+    ASSERT_EQ(chunk_rows.rows.size(), events.size());
+    for (std::size_t r = 0; r < events.size(); ++r)
+        ASSERT_EQ(scratch.materialize(chunk_rows, r, chunk_strings.strings()),
+                  events[r]);
+    ASSERT_EQ(row_diags.entries().size(), stream_diags.entries().size());
+    for (std::size_t d = 0; d < row_diags.entries().size(); ++d) {
+        const auto& x = row_diags.entries()[d];
+        const auto& y = stream_diags.entries()[d];
+        ASSERT_TRUE(x.line == y.line && x.offset == y.offset &&
+                    x.reason == y.reason && x.excerpt == y.excerpt)
+            << "diagnostic " << d;
+    }
+}
+
+/// A stream that cannot seek and hands out at most 7 bytes per read,
+/// like a pipe.
+class TrickleBuf : public std::streambuf {
+  public:
+    explicit TrickleBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+  protected:
+    int_type underflow() override {
+        if (pos_ == bytes_.size()) return traits_type::eof();
+        const std::size_t n = std::min<std::size_t>(7, bytes_.size() - pos_);
+        std::memcpy(buf_, bytes_.data() + pos_, n);
+        pos_ += n;
+        setg(buf_, buf_, buf_ + n);
+        return traits_type::to_int_type(buf_[0]);
+    }
+
+  private:
+    std::string bytes_;
+    std::size_t pos_ = 0;
+    char buf_[7];
+};
+
+TEST(TextFormat, ReadTextIsByteExact) {
+    for (const std::string& bytes :
+         {std::string(), std::string("no final newline"),
+          std::string("a\nb\n"), std::string("nul\0byte\n\n", 11),
+          std::string(200000, 'x') + "\ntail"}) {
+        std::istringstream seekable(bytes);
+        EXPECT_EQ(read_text(seekable), bytes);
+        // Part-way through: only the rest is read.
+        std::istringstream part(bytes);
+        part.ignore(static_cast<std::streamsize>(bytes.size() / 2));
+        EXPECT_EQ(read_text(part), bytes.substr(bytes.size() / 2));
+        TrickleBuf pipe_buf(bytes);
+        std::istream pipe(&pipe_buf);
+        EXPECT_EQ(read_text(pipe), bytes);
+    }
 }
 
 TEST(EscapeString, InverseOfUnescape) {
