@@ -405,6 +405,70 @@ void BM_ConsumeBinaryParallel(benchmark::State& state) {
 BENCHMARK(BM_ConsumeBinaryParallel)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// --- the analyze layer alone, on the rows the full path admits ---------------
+
+/// The canned twin trace decoded into one batch, and the rows the
+/// mount-point filter admits from it (decode and filter run once,
+/// outside every timing).
+struct AdmittedRows {
+    trace::IoctScan scan;
+    trace::EventBatch batch;
+    std::vector<std::size_t> rows;
+};
+
+const AdmittedRows& canned_admitted_rows() {
+    static const AdmittedRows kRows = [] {
+        AdmittedRows a;
+        a.scan = trace::scan_ioct(canned_twin_traces().binary);
+        trace::decode_batch(canned_twin_traces().binary, a.scan.strings,
+                            a.scan.events.data(), a.scan.events.size(),
+                            a.batch);
+        trace::TraceFilter filter(
+            trace::FilterConfig::mount_point("/mnt/test"));
+        const auto scope = filter.bind(a.scan.strings);
+        for (std::size_t r = 0; r < a.batch.rows.size(); ++r)
+            if (filter.admit_row(a.batch, r, scope)) a.rows.push_back(r);
+        return a;
+    }();
+    return kRows;
+}
+
+/// The row core: a fresh analyzer binds the string table and counts
+/// every admitted row in place (Analyzer::consume_row), as every
+/// ingest route does.
+void BM_AnalyzeRows(benchmark::State& state) {
+    const auto& a = canned_admitted_rows();
+    for (auto _ : state) {
+        core::Analyzer analyzer;
+        const auto table = analyzer.table().bind_all(a.scan.strings);
+        for (const std::size_t r : a.rows)
+            analyzer.consume_row(a.batch, r, table);
+        benchmark::DoNotOptimize(analyzer.report().events_tracked);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(a.rows.size()));
+}
+BENCHMARK(BM_AnalyzeRows);
+
+/// The same rows through the TraceEvent entry point: each materialized
+/// into a reusable scratch event, then Analyzer::consume(ev, binding).
+/// The reference BM_AnalyzeRows is measured against.
+void BM_AnalyzeRowsMaterialized(benchmark::State& state) {
+    const auto& a = canned_admitted_rows();
+    trace::EventScratch scratch;
+    for (auto _ : state) {
+        core::Analyzer analyzer;
+        const auto table = analyzer.table().bind_all(a.scan.strings);
+        for (const std::size_t r : a.rows)
+            analyzer.consume(scratch.materialize(a.batch, r, a.scan.strings),
+                             table[a.batch.rows[r].name_id]);
+        benchmark::DoNotOptimize(analyzer.report().events_tracked);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(a.rows.size()));
+}
+BENCHMARK(BM_AnalyzeRowsMaterialized);
+
 // --- file-backed ingestion: mmap vs read() copy -----------------------------
 
 const std::string& canned_binary_file() {

@@ -12,7 +12,9 @@
 # hard failure) and runs the fsck, fault, campaign, and decoder suites
 # under it — plus the serve frame decoder (u32 length math on hostile
 # socket bytes), the live-coverage merge path, and the strict CLI
-# numeric parsers (overflow rejection is exactly where UB would hide).
+# numeric parsers (overflow rejection is exactly where UB would hide),
+# and the analyzer's row-core suites (partition index math on extreme
+# and wrongly typed values).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +27,7 @@ cmake --build "$BUILD" -j --target \
   test_ingest_routes \
   test_crash_replay test_crash_oracle test_state_diff \
   test_snapshot test_snapshot_merge test_host_io \
-  test_serve test_cli_parse
+  test_serve test_cli_parse test_core_coverage
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|IngestRoutes|Binary|TextFormat|BatchDecode|TraceFilter|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
+  -R 'Analyzer|Fsck|Fault|ScopedFault|Campaign|IngestFaults|IngestRoutes|Binary|TextFormat|BatchDecode|TraceFilter|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
   --output-on-failure -j "$(nproc)"

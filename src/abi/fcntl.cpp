@@ -28,36 +28,52 @@ const std::vector<OpenFlagInfo>& open_flag_table() {
     return kTable;
 }
 
-std::size_t decompose_open_flags(std::uint32_t flags, std::string_view* out,
-                                 std::size_t cap) {
+std::size_t decompose_open_flag_indices(std::uint32_t flags,
+                                        std::uint8_t* out, std::size_t cap) {
+    const auto& table = open_flag_table();
+    // Rows of the flags the rules below name, found once (bit patterns
+    // are unique in the table).
+    struct Rows {
+        std::uint8_t rdonly, wronly, rdwr, sync, tmpfile;
+    };
+    static const Rows kRows = [&] {
+        auto row = [&](std::uint32_t bits) {
+            std::size_t i = 0;
+            while (table[i].bits != bits) ++i;
+            return static_cast<std::uint8_t>(i);
+        };
+        return Rows{row(O_RDONLY), row(O_WRONLY), row(O_RDWR), row(O_SYNC),
+                    row(O_TMPFILE)};
+    }();
     std::size_t n = 0;
-    auto emit = [&](std::string_view name) {
-        if (n < cap) out[n++] = name;
+    auto emit = [&](std::uint8_t i) {
+        if (n < cap) out[n++] = i;
     };
     // Access mode: exactly one of O_RDONLY / O_WRONLY / O_RDWR.  The
     // kernel treats mode 3 as invalid; we report it as O_RDWR for
     // coverage purposes (the syscall layer rejects it with EINVAL).
     switch (flags & O_ACCMODE) {
-        case O_WRONLY: emit("O_WRONLY"); break;
-        case O_RDONLY: emit("O_RDONLY"); break;
-        default: emit("O_RDWR"); break;
+        case O_WRONLY: emit(kRows.wronly); break;
+        case O_RDONLY: emit(kRows.rdonly); break;
+        default: emit(kRows.rdwr); break;
     }
     std::uint32_t rest = flags & ~O_ACCMODE;
     // Composite flags first so O_SYNC absorbs O_DSYNC and O_TMPFILE
     // absorbs O_DIRECTORY, matching how the kernel distinguishes them.
     if ((rest & O_SYNC) == O_SYNC) {
-        emit("O_SYNC");
+        emit(kRows.sync);
         rest &= ~static_cast<std::uint32_t>(O_SYNC);
     }
     if ((rest & O_TMPFILE) == O_TMPFILE) {
-        emit("O_TMPFILE");
+        emit(kRows.tmpfile);
         rest &= ~static_cast<std::uint32_t>(O_TMPFILE);
     }
-    for (const auto& info : open_flag_table()) {
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const auto& info = table[i];
         if (info.access_mode || info.bits == O_SYNC || info.bits == O_TMPFILE)
             continue;
         if ((rest & info.bits) == info.bits) {
-            emit(info.name);
+            emit(static_cast<std::uint8_t>(i));
             rest &= ~info.bits;
         }
     }
@@ -65,10 +81,14 @@ std::size_t decompose_open_flags(std::uint32_t flags, std::string_view* out,
 }
 
 std::vector<std::string> decompose_open_flags(std::uint32_t flags) {
-    std::string_view names[kMaxOpenFlagLabels];
+    std::uint8_t rows[kMaxOpenFlagLabels];
     const std::size_t n =
-        decompose_open_flags(flags, names, kMaxOpenFlagLabels);
-    return std::vector<std::string>(names, names + n);
+        decompose_open_flag_indices(flags, rows, kMaxOpenFlagLabels);
+    std::vector<std::string> names;
+    names.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        names.emplace_back(open_flag_table()[rows[i]].name);
+    return names;
 }
 
 unsigned open_flag_cardinality(std::uint32_t flags) {

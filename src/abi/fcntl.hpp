@@ -78,7 +78,7 @@ struct OpenFlagInfo {
 };
 
 /// All open-flag partitions in the order of the paper's Fig. 2 x-axis
-/// (22 entries: 3 access modes + 19 OR-able flags).
+/// (20 entries: 3 access modes + 17 OR-able flags).
 const std::vector<OpenFlagInfo>& open_flag_table();
 
 /// Decomposes a flags word into the flag names it contains.  The access
@@ -90,12 +90,13 @@ std::vector<std::string> decompose_open_flags(std::uint32_t flags);
 /// access mode + every OR-able flag, rounded up for headroom).
 inline constexpr std::size_t kMaxOpenFlagLabels = 24;
 
-/// Allocation-free decomposition: writes up to `cap` flag names (all
-/// static storage) into `out`, returning the count.  Same names and
-/// order as the vector overload; cap >= kMaxOpenFlagLabels never
-/// truncates.  This is the analyzer's per-event path.
-std::size_t decompose_open_flags(std::uint32_t flags, std::string_view* out,
-                                 std::size_t cap);
+/// Allocation-free decomposition: writes up to `cap` indices into
+/// open_flag_table() to `out`, returning the count.  Same flags and
+/// order as the name overload (which is built on it); cap >=
+/// kMaxOpenFlagLabels never truncates.  This is the analyzer's
+/// per-event path: its open-flags partitions are the table's rows.
+std::size_t decompose_open_flag_indices(std::uint32_t flags,
+                                        std::uint8_t* out, std::size_t cap);
 
 /// Number of distinct flags in the word (the paper's Table 1 statistic:
 /// "how many flags were combined in open", where a lone O_RDONLY counts

@@ -13,6 +13,10 @@
 #include "stats/histogram.hpp"
 #include "trace/event.hpp"
 
+namespace iocov::trace {
+struct EventBatch;
+}
+
 namespace iocov::core {
 
 /// Input coverage for one tracked argument of one base syscall.
@@ -70,6 +74,15 @@ struct CoverageReport {
 };
 
 /// Streams trace events into a CoverageReport.
+///
+/// Every tracked argument is reduced to ArgBits and mapped by its
+/// partition class (core/partition.hpp) to histogram row indices, which
+/// are bumped in place: no label is rendered or compared unless a value
+/// falls outside the declared partitions.  The row entry point reads a
+/// decoded or parsed batch row through its string table's bindings; the
+/// TraceEvent entry points read a materialized event.  Both locate each
+/// argument by the same rule and count it through the same functions,
+/// so they produce the same report.
 class Analyzer {
   public:
     /// Tracks the paper's 27-syscall registry by default; pass
@@ -80,18 +93,24 @@ class Analyzer {
     /// Consumes one (already filtered) trace event.
     void consume(const trace::TraceEvent& event);
 
-    /// Hot-path consume for callers that pre-resolved the event's
-    /// syscall name via table().bind() (the binary pipeline resolves
-    /// each interned name once per file instead of hashing per event).
-    /// Must behave exactly like consume(); `binding` must be
-    /// `table().bind(event.syscall)`.
+    /// consume() for callers that pre-resolved the event's syscall name:
+    /// `binding` must be `table().bind(event.syscall)` or the
+    /// table().bind_all() entry of that name.
     void consume(const trace::TraceEvent& event,
                  const SyscallTable::Binding& binding);
+
+    /// Consumes `batch.rows[row]` (decoded IOCT or parsed text) without
+    /// materializing it.  `table` must be table().bind_all() over the
+    /// string table the batch indexes.  Exactly what consume() does on
+    /// the materialized row; allocation-free once the report holds
+    /// every partition the rows reach.
+    void consume_row(const trace::EventBatch& batch, std::size_t row,
+                     const std::vector<SyscallTable::Binding>& table);
 
     /// Convenience over a whole buffer.
     void consume_all(const std::vector<trace::TraceEvent>& events);
 
-    /// The name-interning table (for pre-binding via bind()).
+    /// The name-interning table (for pre-binding via bind()/bind_all()).
     const SyscallTable& table() const { return table_; }
 
     /// Folds a shard's report into this analyzer's (used by the parallel
@@ -102,25 +121,38 @@ class Analyzer {
     CoverageReport take_report() { return std::move(report_); }
 
   private:
-    void consume_input(const CanonicalView& view);
-    void consume_output(const CanonicalView& view);
+    /// Counts one value of arg slot `slot`.
+    void count_input(std::size_t slot, const ArgBits& value);
+    /// Counts one return value of base `id`.
+    void count_output(SyscallId id, std::int64_t ret);
+    /// Counts the open-flag pairs among `flags` (open_flag_table rows).
+    void count_pairs(stats::PartitionHistogram& pairs,
+                     const std::uint8_t* flags, std::size_t n);
+    /// Rebuilds pair_rows_ from `pairs`' rows.
+    void index_pairs(const stats::PartitionHistogram& pairs);
 
     CoverageReport report_;
-    /// Variant names resolved once into dense indices; per event the
-    /// analyzer does one hash lookup and then plain vector indexing
-    /// (report_.inputs, input_parts_ and report_.outputs, output_parts_
-    /// share the table's arg-slot / SyscallId numbering).
+    /// Variant names resolved once into dense indices (report_.inputs
+    /// and input_classes_, report_.outputs and output_parts_ share the
+    /// table's arg-slot / SyscallId numbering).
     SyscallTable table_;
-    std::vector<std::unique_ptr<InputPartitioner>> input_parts_;
+    struct InputSlot {
+        PartitionClass cls;
+        std::uint8_t declared;  ///< declared_count(cls)
+    };
+    std::vector<InputSlot> input_classes_;
     std::vector<OutputPartitioner> output_parts_;
     /// Flat slot of open/flags, whose bitmap combination statistics are
     /// tracked beyond the plain histogram; npos if not in the registry.
     std::size_t open_flags_slot_ = SyscallTable::npos;
-    /// Per-event scratch (labels and the "A+B" pair rendering) reused
-    /// across consume() calls so the steady-state input path performs
-    /// no heap allocation.
-    LabelScratch label_scratch_;
-    std::string pair_label_;
+    /// Open-flag pair (a, b) -> row of its "A+B" label in the pairs
+    /// histogram (kNoRow when absent), valid while that histogram has
+    /// pair_rows_size_ rows: a pair row is inserted, or a merge adds
+    /// one, only by growing it.  Built on first use.
+    static constexpr std::uint32_t kNoRow = 0xffffffffu;
+    std::vector<std::uint32_t> pair_rows_;
+    std::size_t pair_rows_size_ = 0;
+    std::string pair_label_;  ///< a new pair's label, capacity reused
 };
 
 }  // namespace iocov::core

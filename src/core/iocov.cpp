@@ -64,46 +64,47 @@ BoundTable bind_table(const std::vector<std::string_view>& strings,
     return {&strings, syscalls.bind_all(strings), filter.bind(strings)};
 }
 
-/// The row loop every route runs: admit_row -> materialize only
-/// admitted rows -> analyze, over the rows of `batch` that `owns`
-/// selects.  Filter state is keyed by pid and fd, never by string id,
-/// so one filter carries across batches bound to different tables.
+/// The row loop every route runs: admit_row -> analyze each admitted
+/// row in place (Analyzer::consume_row), over the rows of `batch` that
+/// `owns` selects.  Filter state is keyed by pid and fd, never by
+/// string id, so one filter carries across batches bound to different
+/// tables.  Its heap allocations count into hot_loop_allocs (zero once
+/// the filter's fd sets and the report's rows are warm).
 template <class Owns>
 void analyze_rows(const BoundTable& table, const trace::EventBatch& batch,
                   Owns&& owns, trace::TraceFilter& filter,
-                  Analyzer& analyzer, trace::EventScratch& scratch,
-                  ShardResult& out) {
+                  Analyzer& analyzer, ShardResult& out) {
+    const std::uint64_t allocs0 = exec::thread_allocation_count();
     for (std::size_t r = 0; r < batch.rows.size(); ++r) {
         if (!owns(batch.rows[r])) continue;
         if (!filter.admit_row(batch, r, table.scope)) {
             ++out.filtered;
             continue;
         }
-        analyzer.consume(scratch.materialize(batch, r, *table.strings),
-                         table.bindings[batch.rows[r].name_id]);
+        analyzer.consume_row(batch, r, table.bindings);
     }
+    out.stats.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
 }
 
 /// The IOCT row source: decode_batch, then analyze_rows.  Chunked
-/// through the reusable EventBatch/EventScratch so steady state
-/// performs zero heap allocations (tracked per thread via the exec
-/// allocation hook).
+/// through the reusable EventBatch, whose decode allocations count into
+/// hot_loop_allocs too, so steady state performs zero heap allocations.
 void analyze_refs(std::string_view data, const BoundTable& table,
                   const trace::EventRef* refs, std::size_t n,
                   trace::TraceFilter& filter, Analyzer& analyzer,
-                  trace::EventBatch& batch, trace::EventScratch& scratch,
-                  ShardResult& out) {
-    const std::uint64_t allocs0 = exec::thread_allocation_count();
+                  trace::EventBatch& batch, ShardResult& out) {
     for (std::size_t i = 0; i < n; i += kBatchRows) {
         const std::size_t chunk = std::min(kBatchRows, n - i);
+        const std::uint64_t allocs0 = exec::thread_allocation_count();
         batch.clear();
         trace::decode_batch(data, *table.strings, refs + i, chunk, batch,
                             &out.dropped, &out.diags);
+        out.stats.hot_loop_allocs +=
+            exec::thread_allocation_count() - allocs0;
         analyze_rows(table, batch, [](const trace::BatchRow&) { return true; },
-                     filter, analyzer, scratch, out);
+                     filter, analyzer, out);
         out.stats.events += batch.rows.size();
     }
-    out.stats.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
 }
 
 /// Rows per pid — IoctFooter::pid_events' shape — and its tally form.
@@ -238,11 +239,11 @@ std::size_t IOCov::run_lanes(const std::vector<std::uint64_t>& lane_rows,
                              Body&& body, ShardResult& call) {
     if (lane_rows.size() == 1) {
         // One lane analyzes in place — the IOCov's own analyzer and
-        // decode scratch, and a shard filter reset with capacity kept —
+        // decode batch, and a shard filter reset with capacity kept —
         // which is what keeps repeated ingestion allocation-free.  A
         // failure here propagates: there is no shard report to discard.
         shard_filter_.reset();
-        body(0, shard_filter_, analyzer_, batch_, scratch_, call);
+        body(0, shard_filter_, analyzer_, batch_, call);
         return 0;
     }
     std::vector<ShardResult> results(lane_rows.size());
@@ -255,8 +256,7 @@ std::size_t IOCov::run_lanes(const std::vector<std::uint64_t>& lane_rows,
                     run_own(filter_config_, *registry_, r,
                             [&](trace::TraceFilter& f, Analyzer& a) {
                                 trace::EventBatch batch;
-                                trace::EventScratch scratch;
-                                body(s, f, a, batch, scratch, r);
+                                body(s, f, a, batch, r);
                             });
                 });
         });
@@ -331,15 +331,14 @@ std::size_t IOCov::consume_text_parallel(std::istream& in,
     dropped += run_lanes(
         place.rows(),
         [&](std::size_t lane, trace::TraceFilter& f, Analyzer& a,
-            trace::EventBatch&, trace::EventScratch& scratch,
-            ShardResult& r) {
+            trace::EventBatch&, ShardResult& r) {
             // One lane counted no pids, so place() is 0 for every row.
             for (const auto& c : chunks)
                 analyze_rows(c.table, c.batch,
                              [&](const trace::BatchRow& row) {
                                  return place(row.pid) == lane;
                              },
-                             f, a, scratch, r);
+                             f, a, r);
         },
         call);
 
@@ -395,11 +394,10 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     const std::size_t dropped = run_lanes(
         lane_rows,
         [&](std::size_t lane, trace::TraceFilter& f, Analyzer& a,
-            trace::EventBatch& batch, trace::EventScratch& scratch,
-            ShardResult& r) {
+            trace::EventBatch& batch, ShardResult& r) {
             const auto& refs = lanes == 1 ? scan.events : shards[lane];
             analyze_refs(data, table, refs.data(), refs.size(), f, a, batch,
-                         scratch, r);
+                         r);
         },
         call);
     call.stats.seconds = seconds_since(t0);
@@ -453,10 +451,8 @@ IOCov::DirIngest IOCov::consume_binary_files(
             run_own(filter_config_, *registry_, r,
                     [&](trace::TraceFilter& f, Analyzer& a) {
                         trace::EventBatch batch;
-                        trace::EventScratch scratch;
                         analyze_refs(data, table, scan.events.data(),
-                                     scan.events.size(), f, a, batch,
-                                     scratch, r);
+                                     scan.events.size(), f, a, batch, r);
                     });
         });
     };

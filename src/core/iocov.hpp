@@ -50,9 +50,10 @@ struct IngestStats {
     std::uint64_t bytes = 0;   ///< trace bytes ingested
     std::uint64_t files = 0;   ///< files analyzed (file/dir entry points)
     unsigned threads = 1;      ///< widest thread count used
-    /// Heap allocations inside the steady-state IOCT decode -> filter
-    /// -> analyze loops (stays 0 once histograms and scratch are warm;
-    /// always 0 when exec::has_allocation_counting() is false).
+    /// Heap allocations inside the steady-state row loop every route
+    /// runs (filter -> analyze; IOCT decode_batch included): 0 once the
+    /// filter's fd sets, the report's rows and the decode batch are
+    /// warm; always 0 when exec::has_allocation_counting() is false.
     std::uint64_t hot_loop_allocs = 0;
     double seconds = 0;        ///< wall time spent in ingestion
 
@@ -93,8 +94,8 @@ class IOCov {
     /// into SoA rows over its own interned string table (no TraceEvent
     /// per line), and that table is bound once.  Pids are placed on
     /// lanes by row count (exec::lpt_place), and each lane walks the
-    /// chunks in order through the same admit_row -> materialize ->
-    /// analyze loop as consume_binary, before the reports merge here.
+    /// chunks in order through the same admit_row -> consume_row loop
+    /// as consume_binary, before the reports merge here.
     /// The filter's state is keyed by pid and fd, so per-pid order —
     /// which placement preserves — is all that determinism needs: the
     /// result is bit-identical to consume_text, and to consume_binary
@@ -107,10 +108,10 @@ class IOCov {
     /// mmap'd file; see trace::MappedFile) as one shard.  Records are
     /// decoded into rows whose strings stay table ids; the trace filter
     /// admits each row from those ids (TraceFilter::admit_row — the
-    /// same state machine consume_text drives), and only admitted rows
-    /// are materialized into a reusable scratch event for the analyzer,
-    /// so the report is bit-identical to analyzing the equivalent text
-    /// trace.  Returns the number of undecodable records dropped (torn
+    /// same state machine consume_text drives), and the analyzer counts
+    /// each admitted row from the same ids (Analyzer::consume_row), no
+    /// TraceEvent ever built, so the report is bit-identical to
+    /// analyzing the equivalent text trace.  Returns the number of undecodable records dropped (torn
     /// tails and corrupt payloads), mirroring consume_text's
     /// malformed-line count.  A buffer that is not an IOCT file (bad
     /// magic/version) analyzes as empty with 0 dropped — callers that
@@ -238,10 +239,10 @@ class IOCov {
     /// directory file), appended in fold order.
     std::size_t fold(ShardResult&& shard, std::string_view name = {});
 
-    /// Runs body(lane, filter, analyzer, decode batch, scratch, result)
-    /// once per lane, `lane_rows[lane]` being the rows it owns (its
-    /// scheduling weight, and what a lost lane drops).  One lane runs in
-    /// place on this IOCov's analyzer, shard filter and scratch,
+    /// Runs body(lane, filter, analyzer, decode batch, result) once per
+    /// lane, `lane_rows[lane]` being the rows it owns (its scheduling
+    /// weight, and what a lost lane drops).  One lane runs in place on
+    /// this IOCov's analyzer, shard filter and decode batch,
     /// accounting into `call`; more lanes each run on a fresh filter and
     /// analyzer, failure-isolated, and fold here in lane order.  Returns
     /// the rows lost lanes dropped.  Defined in iocov.cpp, its only user.
@@ -262,11 +263,10 @@ class IOCov {
     std::uint64_t filtered_out_ = 0;
     trace::ParseDiagnostics diagnostics_;
     std::uint64_t shards_lost_ = 0;
-    /// One-lane decode scratch, persistent across consume_binary calls
-    /// so repeated ingestion reuses warm capacity (parallel shards keep
+    /// One-lane decode batch, persistent across consume_binary calls so
+    /// repeated ingestion reuses warm capacity (parallel shards keep
     /// their own).
     trace::EventBatch batch_;
-    trace::EventScratch scratch_;
     IngestStats ingest_stats_;
 };
 

@@ -8,6 +8,7 @@
 //   * every base syscall gets a SyscallId (its registry index),
 //   * every tracked argument gets a flat "arg slot" (bases contribute
 //     their args in registry order, matching CoverageReport::inputs),
+//   * every distinct arg key gets a small key id,
 //   * every variant name maps, via one hash lookup, to its base's spec,
 //     id, and implied argument.
 //
@@ -16,13 +17,13 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/partition.hpp"
 #include "core/syscall_spec.hpp"
-#include "core/variant_handler.hpp"
 #include "trace/event.hpp"
 
 namespace iocov::core {
@@ -51,53 +52,48 @@ class SyscallTable {
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
     std::size_t arg_slot(std::string_view base, std::string_view key) const;
 
-    /// Resolves one event onto its base syscall without copying it;
-    /// nullopt for untracked syscalls.  One hash lookup per event.
-    std::optional<CanonicalView> resolve(const trace::TraceEvent& event) const {
-        auto it = variants_.find(event.syscall);
-        if (it == variants_.end()) return std::nullopt;
-        const VariantEntry& ve = it->second;
-        return CanonicalView{&(*registry_)[ve.id], ve.id, &event, ve.implied};
-    }
+    /// Key id of arg slot `slot`: equal ids mean equal arg names.
+    std::uint8_t slot_key(std::size_t slot) const { return slot_key_[slot]; }
 
-    /// A variant name resolved ahead of time.  The binary pipeline
-    /// interns syscall names in its string table, so it resolves each
-    /// *name* once per trace file (bind) instead of hashing once per
-    /// event (resolve); `tracked == false` marks untracked names.
+    /// Key id of `name`, or kNoKey when no tracked argument is named so.
+    static constexpr std::uint8_t kNoKey = 0xff;
+    std::uint8_t key_of(std::string_view name) const;
+
+    /// One string-table entry resolved for the analyzer, in each of the
+    /// three places an interned string can appear in an event: as a
+    /// syscall name (tracked, id, spec, implied), as an arg name
+    /// (arg_key), and as a pathname value (path).  The analyzer-side
+    /// twin of trace::TraceFilter::Binding.
     struct Binding {
         bool tracked = false;
+        std::uint8_t arg_key = kNoKey;
+        PathMask path = 0;
         SyscallId id = 0;
         const SyscallSpec* spec = nullptr;
         const trace::Arg* implied = nullptr;
     };
 
+    /// `variant_name` resolved as a syscall name (one hash lookup);
+    /// `tracked == false` marks untracked names.
     Binding bind(std::string_view variant_name) const {
         auto it = variants_.find(variant_name);
         if (it == variants_.end()) return {};
         const VariantEntry& ve = it->second;
-        return {true, ve.id, &(*registry_)[ve.id], ve.implied};
+        Binding b;
+        b.tracked = true;
+        b.id = ve.id;
+        b.spec = &(*registry_)[ve.id];
+        b.implied = ve.implied;
+        return b;
     }
 
-    /// Dense binding for a whole IOCT string table: out[i] ==
-    /// bind(strings[i]).  The batched decoder then resolves each event
-    /// by plain vector index on its interned name id — zero hashing per
-    /// event.
+    /// Dense binding for a whole string table (an IOCT file's or a text
+    /// chunk's): out[i] is bind(strings[i]) plus strings[i]'s key id and
+    /// path classes.  One pass, built once per table; the row loop then
+    /// resolves names, arg keys and pathname partitions by plain vector
+    /// index on string ids — no hashing or string compare per event.
     std::vector<Binding> bind_all(
-        const std::vector<std::string_view>& strings) const {
-        std::vector<Binding> out;
-        out.reserve(strings.size());
-        for (const auto sv : strings) out.push_back(bind(sv));
-        return out;
-    }
-
-    /// The view `resolve(event)` would produce, given the event's name
-    /// was pre-bound.  `binding` must be tracked and come from this
-    /// table; `event.syscall` must equal the bound name.
-    static CanonicalView view(const Binding& binding,
-                              const trace::TraceEvent& event) {
-        return CanonicalView{binding.spec, binding.id, &event,
-                             binding.implied};
-    }
+        const std::vector<std::string_view>& strings) const;
 
   private:
     struct VariantEntry {
@@ -118,6 +114,8 @@ class SyscallTable {
     std::unordered_map<std::string, VariantEntry, NameHash, std::equal_to<>>
         variants_;
     std::vector<std::size_t> arg_offset_;  // base_count() + 1 entries
+    std::vector<std::string_view> keys_;   // distinct arg keys, by key id
+    std::vector<std::uint8_t> slot_key_;   // arg slot -> key id
 };
 
 }  // namespace iocov::core

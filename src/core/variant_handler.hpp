@@ -40,40 +40,8 @@ std::optional<CanonicalEvent> canonicalize(
 /// open's flags, fchdir(2) supplies its directory "via fd" instead of a
 /// pathname.  Returns a pointer into static storage, or nullptr for
 /// variants that carry all their arguments explicitly.  Shared by
-/// canonicalize() and the analyzer's zero-copy hot path (SyscallTable)
-/// so variant knowledge lives in one place.
+/// canonicalize() and the analyzer (through SyscallTable) so variant
+/// knowledge lives in one place.
 const trace::Arg* implied_variant_arg(std::string_view variant);
-
-/// A trace event normalized onto its base syscall *without* copying it:
-/// the analyzer-hot-path counterpart of CanonicalEvent.  Canonicalizing
-/// used to copy the whole TraceEvent (pathname strings and all) per
-/// event; a view references the original event and patches in at most
-/// the variant's implied argument.  Valid only while the event (and the
-/// SyscallTable that resolved it) are alive.
-struct CanonicalView {
-    const SyscallSpec* spec = nullptr;      ///< base syscall spec
-    std::size_t id = 0;                     ///< dense registry index
-    const trace::TraceEvent* event = nullptr;
-    const trace::Arg* implied = nullptr;    ///< variant's implied arg
-
-    /// Tracked-argument lookup mirroring CanonicalEvent::arg(): the
-    /// event's own args win, the implied arg fills the gap.  Returns a
-    /// pointer instead of a copy (ArgValue may hold a std::string).
-    const trace::ArgValue* find(std::string_view key) const {
-        if (const trace::Arg* a = event->find_arg(key)) return &a->value;
-        if (implied && implied->name == key) return &implied->value;
-        return nullptr;
-    }
-
-    /// find() with a positional hint: traced args arrive in prototype
-    /// order, so checking event->args[hint] first turns the common case
-    /// into a single string compare instead of a scan.
-    const trace::ArgValue* find_hinted(std::string_view key,
-                                       std::size_t hint) const {
-        if (hint < event->args.size() && event->args[hint].name == key)
-            return &event->args[hint].value;
-        return find(key);
-    }
-};
 
 }  // namespace iocov::core

@@ -52,6 +52,14 @@ class PartitionHistogram {
     /// still creates it.
     void add(std::string_view label, std::uint64_t n = 1);
 
+    /// Adds `n` observations to row `row` (< partition_count()).  Rows
+    /// are only ever inserted after the declared block, so a declared
+    /// label's row is its declaration index for the histogram's whole
+    /// life: the analyzer bumps by index, with no label compare.
+    void add_at(std::size_t row, std::uint64_t n = 1) {
+        rows_[row].count += n;
+    }
+
     /// Count for `label`; zero if the partition was never declared/seen.
     std::uint64_t count(std::string_view label) const;
 

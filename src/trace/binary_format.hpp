@@ -206,9 +206,11 @@ std::vector<TraceEvent> decode_trace(std::string_view data,
 // The per-event decode_event() path pays a virtual-free but still
 // per-field-branchy cost per record.  The batched path decodes a span
 // of records into a structure-of-arrays scratch (EventBatch) in one
-// tight loop — tag and bounds checks hoisted — and defers all string
-// materialization to EventScratch, which recycles heap capacity so the
-// steady-state decode -> analyze loop performs zero allocations.
+// tight loop — tag and bounds checks hoisted — leaving every string a
+// table id.  The ingest routes filter and analyze those rows in place
+// (TraceFilter::admit_row, core::Analyzer::consume_row); EventScratch
+// materializes a row into a TraceEvent for the callers that want one,
+// recycling heap capacity so that too allocates nothing when warm.
 
 /// Arg-value type byte inside an EVT record (wire values).
 enum class ArgType : std::uint8_t {

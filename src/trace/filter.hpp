@@ -12,10 +12,10 @@
 //
 // Two adapters feed one state machine.  admit() takes a materialized
 // TraceEvent (per-event consume).  admit_row() takes a batch row —
-// decoded IOCT or parsed text — before it is materialized: both intern
-// every string, so bind() classifies each string-table entry once —
-// syscall role, arg kind, path scope — and a row is admitted by array
-// lookups alone.
+// decoded IOCT or parsed text — which is never materialized: both
+// intern every string, so bind() classifies each string-table entry
+// once — syscall role, arg kind, path scope — and a row is admitted by
+// array lookups alone.
 #pragma once
 
 #include <algorithm>

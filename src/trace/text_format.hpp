@@ -14,7 +14,7 @@
 // SoA row (trace::EventBatch) whose strings are ids into a TextStrings
 // table of views aliasing the text, so a parsed chunk allocates per
 // distinct string, not per event, and feeds the same admit_row ->
-// materialize -> analyze loop as an IOCT trace.  parse_event,
+// consume_row loop as an IOCT trace.  parse_event,
 // parse_chunk and parse_stream are adapters that materialize its rows
 // into TraceEvents.
 #pragma once

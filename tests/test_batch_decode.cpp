@@ -9,12 +9,14 @@
 
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/iocov.hpp"
 #include "exec/alloc_hook.hpp"
 #include "trace/filter.hpp"
+#include "trace/text_format.hpp"
 
 namespace iocov::trace {
 namespace {
@@ -284,6 +286,31 @@ TEST(BatchDecode, SteadyStateIngestLoopIsAllocationFree) {
     const auto before = iocov.ingest_stats().hot_loop_allocs;
     iocov.consume_binary(data);
     EXPECT_EQ(iocov.ingest_stats().hot_loop_allocs - before, 0u);
+    EXPECT_GT(iocov.report().events_tracked, 0u);
+    EXPECT_GT(iocov.events_filtered_out(), 0u);
+}
+
+TEST(BatchDecode, SteadyStateTextRowLoopIsAllocationFree) {
+    if (!exec::has_allocation_counting())
+        GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+    // The text route parses rows (allocating per distinct string) and
+    // then runs the same row loop as IOCT: admit_row -> consume_row,
+    // which must allocate nothing once warm.
+    std::string text;
+    for (const auto& ev : mount_mix_events(23, 4000))
+        text += format_event(ev) + "\n";
+    core::IOCov iocov(FilterConfig::mount_point("/mnt/test"));
+    std::uint64_t allocs[3] = {};
+    for (auto& n : allocs) {
+        const auto before = iocov.ingest_stats().hot_loop_allocs;
+        std::istringstream in(text);
+        EXPECT_EQ(iocov.consume_text(in), 0u);
+        n = iocov.ingest_stats().hot_loop_allocs - before;
+    }
+    // The cold pass grows fd sets and report rows, so the counter does
+    // see the text row loop; the third pass finds them all warm.
+    EXPECT_GT(allocs[0], 0u);
+    EXPECT_EQ(allocs[2], 0u);
     EXPECT_GT(iocov.report().events_tracked, 0u);
     EXPECT_GT(iocov.events_filtered_out(), 0u);
 }

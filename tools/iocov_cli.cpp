@@ -680,7 +680,7 @@ int cmd_analyze(int argc, char** argv) {
             static_cast<double>(is.bytes) / secs / 1e6,
             static_cast<unsigned long long>(is.files), is.threads, secs);
         if (exec::has_allocation_counting()) {
-            std::printf("  allocs:   %llu in the steady-state decode "
+            std::printf("  allocs:   %llu in the steady-state row "
                         "loop\n",
                         static_cast<unsigned long long>(
                             is.hot_loop_allocs));
