@@ -17,7 +17,10 @@
 # decoded string ids, so its suite (incl. the row/event fuzz over
 # duplicated string tables) runs here as well, and so do the
 # analyzer's row-core suites, which index the analyzer's per-table
-# binding with the same decoded ids.
+# binding with the same decoded ids.  The text route reads streams into
+# recycled block buffers and parses each block on a lane, so the block
+# reader and streaming-executor suites (TextBlocks, ParallelStream) run
+# here as well.
 # This configures a full IOCOV_SANITIZE=address tree and runs the
 # decoder-facing suites (binary format, binary pipeline, text format,
 # snapshot) under it.
@@ -32,7 +35,7 @@ cmake --build "$BUILD" -j --target \
   test_batch_decode test_dir_ingest test_ingest_routes test_filter \
   test_crash_replay test_crash_oracle test_crashtest \
   test_snapshot test_snapshot_merge test_host_io test_checkpoint \
-  test_serve test_cli_parse test_core_coverage
+  test_serve test_cli_parse test_core_coverage test_parallel_pipeline
 ctest --test-dir "$BUILD" \
-  -R 'Analyzer|Binary|TextFormat|MappedFile|BatchDecode|DirIngest|IngestRoutes|TraceFilter|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
+  -R 'Analyzer|Binary|TextFormat|TextBlocks|ParallelStream|MappedFile|BatchDecode|DirIngest|IngestRoutes|TraceFilter|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
   --output-on-failure -j "$(nproc)"

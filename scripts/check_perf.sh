@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Performance smoke gate: the batched IOCT decode and the snapshot
-# save/load/merge paths must not regress.
+# Performance smoke gate: the batched IOCT decode, the full text path
+# and the snapshot save/load/merge paths must not regress.
 #
 #   ./scripts/check_perf.sh
 #
 # Builds the Release bench binary, runs a short pass over the gated
-# benches (BM_IngestBinaryBatched + BM_Snapshot{Save,SaveDurable,Load,
-# Merge} + BM_ServeIngest), and fails (exit 1) if any median
+# benches (BM_IngestBinaryBatched + BM_ConsumeTextSerial +
+# BM_Snapshot{Save,SaveDurable,Load,Merge} + BM_ServeIngest), and
+# fails (exit 1) if any median
 # throughput drops more than 20% below the checked-in floor
 # (scripts/perf_floor.txt).
 # BM_SnapshotSaveDurable covers the atomic temp+fsync+rename write
@@ -15,6 +16,8 @@
 # bytes/sec is measured against the raw trace bytes the snapshots
 # replace, so the gate enforces the "fleet aggregation beats
 # re-ingesting" contract, not just absolute speed.
+# BM_ConsumeTextSerial gates the whole text route on one lane (block
+# read, row parse, bind, filter, analyze) against raw text bytes.
 # BM_ServeIngest gates the live daemon's per-push cost (frame decode +
 # incremental merge + epoch publication) so `iocov serve` ingest
 # cannot silently degenerate relative to the batch path.  The
@@ -33,7 +36,7 @@ OUT=$(mktemp /tmp/iocov_check_perf.XXXXXX.json)
 trap 'rm -f "$OUT"' EXIT
 
 "$BUILD"/bench/perf_analyzer \
-  --benchmark_filter='^BM_(IngestBinaryBatched|SnapshotSave|SnapshotSaveDurable|SnapshotLoad|SnapshotMerge|ServeIngest)$' \
+  --benchmark_filter='^BM_(IngestBinaryBatched|ConsumeTextSerial|SnapshotSave|SnapshotSaveDurable|SnapshotLoad|SnapshotMerge|ServeIngest)$' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \

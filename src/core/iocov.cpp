@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <mutex>
 #include <unordered_map>
 
 #include "core/snapshot.hpp"
@@ -14,10 +16,10 @@ namespace iocov::core {
 
 /// What running one shard yields.  A shard is a row source analyzed
 /// from empty filter state: IOCT refs over one string table, or the
-/// rows of parsed text chunks, each over its own table.  The same type
+/// rows of parsed text blocks, each over its own table.  The same type
 /// carries a call's own share (scan drops, bytes, wall time) and a
-/// parse chunk's; IOCov::fold() is the only way any of it reaches the
-/// IOCov.
+/// text block's parse; IOCov::fold() is the only way any of it reaches
+/// the IOCov.
 struct ShardResult {
     /// The shard's coverage when it ran on its own analyzer; empty when
     /// it analyzed in place (one lane) or analyzed nothing.
@@ -48,7 +50,7 @@ unsigned lanes_for(unsigned n_threads) {
     return n_threads ? n_threads : exec::ThreadPool::default_thread_count();
 }
 
-/// One string table — an IOCT file's or a parsed text chunk's —
+/// One string table — an IOCT file's or a parsed text block's —
 /// pre-resolved for analysis: bindings[name_id] replaces a per-event
 /// syscall lookup with a vector index, and `scope` lets the filter
 /// admit a row from its string ids.
@@ -146,9 +148,14 @@ class PidLanes {
     std::vector<std::uint64_t> rows_;
 };
 
-/// One parsed text chunk: its rows, the string table they index, that
-/// table bound once for analysis, and its rows per pid.
-struct TextChunk {
+/// One block of a text trace: the buffer it was read into (handed back
+/// for the next read once parsed), its lines, and its parse — rows, the
+/// string table they index, that table bound once for analysis, and
+/// its rows per pid.
+struct TextBlock {
+    trace::LineBlock buffer;
+    std::uint64_t lines = 0;
+    ShardResult parse;  ///< drops, diagnostics (from line 1), rows
     trace::EventBatch batch;
     trace::TextStrings strings;
     BoundTable table;
@@ -273,58 +280,74 @@ std::size_t IOCov::consume_text_parallel(std::istream& in,
                                          unsigned n_threads) {
     const auto t0 = std::chrono::steady_clock::now();
     const unsigned lanes = lanes_for(n_threads);
-    // Chunking needs random access to line boundaries, and the rows'
-    // strings are views into the text, so read the stream whole.
-    const std::string text = trace::read_text(in);
-    // More chunks than lanes so one expensive chunk can't serialize the
-    // tail of the parse stage.
-    const auto cuts =
-        trace::split_line_chunks(text, lanes == 1 ? 1 : lanes * 4);
 
-    // Position each chunk within the whole input so diagnostics carry
-    // file-absolute line numbers and byte offsets.
-    std::vector<std::uint64_t> first_line(cuts.size(), 1);
-    std::vector<std::uint64_t> line_count(cuts.size(), 0);
-    for (std::size_t i = 0; i < cuts.size(); ++i) {
-        line_count[i] = static_cast<std::uint64_t>(
-            std::count(cuts[i].begin(), cuts[i].end(), '\n'));
-        if (!cuts[i].empty() && cuts[i].back() != '\n') ++line_count[i];
-        if (i + 1 < cuts.size())
-            first_line[i + 1] = first_line[i] + line_count[i];
-    }
-    auto base_offset = [&](std::size_t i) {
-        return static_cast<std::uint64_t>(cuts[i].data() - text.data());
+    // Read line-aligned blocks on this thread and parse each on a lane
+    // as soon as it arrives, into rows over its own string table, bound
+    // once.  Tables copy their strings, so a parsed block's buffer goes
+    // back to `spare` for a later read: with at most lanes + 2 blocks
+    // read and not yet parsed, at most that many buffers exist.
+    trace::LineBlockReader reader(in);
+    std::deque<TextBlock> blocks;  // grows here; lanes touch only their own
+    std::vector<trace::LineBlock> spare;
+    std::mutex spare_mu;
+    std::uint64_t bytes = 0;
+    auto parse = [&](TextBlock& b) {
+        const std::string_view text = b.buffer.text();
+        b.parse = isolated(
+            "block lost: ", 1, b.buffer.offset, 0, [&](ShardResult& r) {
+                b.lines = trace::parse_chunk_rows(text, b.batch, b.strings,
+                                                  &r.dropped, &r.diags, 1,
+                                                  b.buffer.offset);
+                b.table = bind_table(b.strings.strings(), analyzer_.table(),
+                                     shard_filter_);
+                if (lanes > 1)
+                    for (const auto& row : b.batch.rows) ++b.pids[row.pid];
+                r.stats.events = b.batch.rows.size();
+            });
+        if (b.parse.lost) {
+            // Every line of a lost block is dropped.
+            b.lines = static_cast<std::uint64_t>(
+                std::count(text.begin(), text.end(), '\n') +
+                (text.back() != '\n'));
+            b.parse.dropped = static_cast<std::size_t>(b.lines);
+        }
+        std::lock_guard<std::mutex> lock(spare_mu);
+        spare.push_back(std::move(b.buffer));
     };
+    exec::parallel_stream(lanes, lanes + 2, [&]() -> std::function<void()> {
+        trace::LineBlock buffer;
+        {
+            std::lock_guard<std::mutex> lock(spare_mu);
+            if (!spare.empty()) {
+                buffer = std::move(spare.back());
+                spare.pop_back();
+            }
+        }
+        if (!reader.next(buffer)) return {};
+        bytes += buffer.size;
+        TextBlock& b = blocks.emplace_back();
+        b.buffer = std::move(buffer);
+        return [&parse, &b] { parse(b); };
+    });
+    spare.clear();  // every block is parsed: free the buffers now
 
-    // Parse each chunk into rows over its own string table, and bind
-    // that table once.
-    std::vector<TextChunk> chunks(cuts.size());
-    std::vector<ShardResult> parses(cuts.size());
-    exec::parallel_for_stealing(
-        lanes, std::vector<std::uint64_t>(cuts.size(), 1), [&](std::size_t i) {
-            parses[i] = isolated(
-                "chunk lost: ", first_line[i], base_offset(i), line_count[i],
-                [&](ShardResult& r) {
-                    TextChunk& c = chunks[i];
-                    trace::parse_chunk_rows(cuts[i], c.batch, c.strings,
-                                            &r.dropped, &r.diags,
-                                            first_line[i], base_offset(i));
-                    c.table = bind_table(c.strings.strings(),
-                                         analyzer_.table(), shard_filter_);
-                    if (lanes > 1)
-                        for (const auto& row : c.batch.rows) ++c.pids[row.pid];
-                    r.stats.events = c.batch.rows.size();
-                });
-        });
+    // Blocks were parsed from line 1: number their diagnostics by the
+    // lines before them, then fold.
     std::size_t dropped = 0;
+    std::uint64_t first_line = 1;
     PidTally tally;
-    for (std::size_t i = 0; i < cuts.size(); ++i) {
-        if (parses[i].lost) chunks[i] = TextChunk();
-        for (const auto& [pid, n] : chunks[i].pids) tally[pid] += n;
-        dropped += fold(std::move(parses[i]));
+    for (TextBlock& b : blocks) {
+        b.parse.diags.shift_lines(first_line - 1);
+        first_line += b.lines;
+        if (b.parse.lost) {
+            b.batch.clear();
+            b.pids.clear();
+        }
+        for (const auto& [pid, n] : b.pids) tally[pid] += n;
+        dropped += fold(std::move(b.parse));
     }
 
-    // Place pids on lanes by row count.  Each lane walks the chunks in
+    // Place pids on lanes by row count.  Each lane walks the blocks in
     // order, so every pid's rows reach its filter in trace order.
     const PidLanes place(PidCounts(tally.begin(), tally.end()), lanes);
     ShardResult call;
@@ -333,8 +356,8 @@ std::size_t IOCov::consume_text_parallel(std::istream& in,
         [&](std::size_t lane, trace::TraceFilter& f, Analyzer& a,
             trace::EventBatch&, ShardResult& r) {
             // One lane counted no pids, so place() is 0 for every row.
-            for (const auto& c : chunks)
-                analyze_rows(c.table, c.batch,
+            for (const auto& b : blocks)
+                analyze_rows(b.table, b.batch,
                              [&](const trace::BatchRow& row) {
                                  return place(row.pid) == lane;
                              },
@@ -342,7 +365,7 @@ std::size_t IOCov::consume_text_parallel(std::istream& in,
         },
         call);
 
-    call.stats.bytes = text.size();
+    call.stats.bytes = bytes;
     call.stats.threads = lanes;
     call.stats.seconds = seconds_since(t0);
     fold(std::move(call));

@@ -89,13 +89,17 @@ class IOCov {
     /// Returns the number of malformed lines skipped.
     std::size_t consume_text(std::istream& in);
 
-    /// consume_text on `n_threads` lanes.  The stream is read whole and
-    /// cut into line chunks; each chunk is parsed on a lane straight
-    /// into SoA rows over its own interned string table (no TraceEvent
-    /// per line), and that table is bound once.  Pids are placed on
-    /// lanes by row count (exec::lpt_place), and each lane walks the
-    /// chunks in order through the same admit_row -> consume_row loop
-    /// as consume_binary, before the reports merge here.
+    /// consume_text on `n_threads` lanes.  This thread reads the stream
+    /// in line-aligned blocks (trace::LineBlockReader), and each block
+    /// is parsed on a lane as soon as it is read (exec::parallel_stream)
+    /// straight into SoA rows over its own interned string table (no
+    /// TraceEvent per line), which is bound once; its buffer is then
+    /// reused, so the text is never held whole and at most lanes + 2
+    /// block buffers exist.  Pids are placed on lanes by row count
+    /// (exec::lpt_place), and each lane walks the blocks in order
+    /// through the same admit_row -> consume_row loop as
+    /// consume_binary, before the reports merge here.  Diagnostics
+    /// carry the serial parse's line numbers and byte offsets.
     /// The filter's state is keyed by pid and fd, so per-pid order —
     /// which placement preserves — is all that determinism needs: the
     /// result is bit-identical to consume_text, and to consume_binary
@@ -206,13 +210,13 @@ class IOCov {
 
     /// Where and why input was dropped, accumulated across every
     /// consume_* call: malformed text lines, corrupt IOCT records, and
-    /// parallel chunks/shards lost to worker failures.  total() is the
+    /// parallel blocks/shards lost to worker failures.  total() is the
     /// number the --max-errors budget is checked against.
     const trace::ParseDiagnostics& diagnostics() const {
         return diagnostics_;
     }
 
-    /// Parallel chunks/shards whose worker failed outright (the events
+    /// Parallel blocks/shards whose worker failed outright (the events
     /// they held are counted into the dropped totals and diagnostics).
     /// A corrupt record never fails a shard — this counts isolation
     /// events, not parse errors.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <utility>
 
 namespace iocov::exec {
@@ -180,6 +181,56 @@ void parallel_for_stealing(unsigned n_threads,
             if (!first_error) first_error = std::current_exception();
         }
     }
+    if (first_error) std::rethrow_exception(first_error);
+}
+
+void parallel_stream(unsigned n_threads, std::size_t max_in_flight,
+                     const std::function<std::function<void()>()>& produce) {
+    if (n_threads == 0) n_threads = ThreadPool::default_thread_count();
+    max_in_flight = std::max<std::size_t>(max_in_flight, 1);
+    std::mutex mu;
+    std::condition_variable done;  // a job finished
+    std::size_t in_flight = 0;
+    std::exception_ptr first_error;
+    auto fail = [&](std::exception_ptr error) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!first_error) first_error = std::move(error);
+    };
+    auto run = [&](const std::function<void()>& job) {
+        try {
+            job();
+        } catch (...) {
+            fail(std::current_exception());
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        --in_flight;
+        done.notify_all();
+    };
+    // Declared after what its workers touch, so it joins them first.
+    std::optional<ThreadPool> pool;
+    if (n_threads > 1) pool.emplace(n_threads);
+    for (;;) {
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            done.wait(lock, [&] { return in_flight < max_in_flight; });
+        }
+        std::function<void()> job;
+        try {
+            job = produce();
+        } catch (...) {
+            fail(std::current_exception());
+            break;
+        }
+        if (!job) break;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            ++in_flight;
+        }
+        if (pool) pool->submit([&run, job = std::move(job)] { run(job); });
+        else run(job);
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    done.wait(lock, [&] { return in_flight == 0; });
     if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -4,9 +4,11 @@
 // threads.  Pools are cheap enough to create per parallel operation
 // (thread spawn is microseconds next to parsing a multi-megabyte
 // trace), which keeps thread ownership obvious and avoids global
-// executor state.  Every parallel stage of the library — trace chunks,
-// pid shards, directory files, snapshot loads and merge levels — runs
-// through parallel_for_stealing.
+// executor state.  Two executors run on it.  parallel_for_stealing
+// runs a known set of items — pid shards, directory files, snapshot
+// loads and merge levels.  parallel_stream runs items as the caller
+// produces them, with a bounded number in flight — the blocks of a text
+// trace, parsed while the caller reads the next.
 #pragma once
 
 #include <condition_variable>
@@ -80,5 +82,19 @@ void parallel_for_stealing(ThreadPool& pool,
 void parallel_for_stealing(unsigned n_threads,
                            const std::vector<std::uint64_t>& weights,
                            const std::function<void(std::size_t)>& fn);
+
+/// Runs a stream of jobs on a pool of `n_threads` workers made for
+/// this call (0 = hardware concurrency).  The calling thread calls
+/// `produce()` for the next job until it returns an empty function; each
+/// job runs on a worker as soon as one is free, in production order.
+/// At most `max_in_flight` jobs (at least 1) are produced and not yet
+/// finished: produce() is not called again until one finishes, so a
+/// producer that holds one buffer per job needs at most that many.
+/// Every produced job runs exactly once.  The first exception — from a
+/// job, or from produce(), which ends the stream — is rethrown after
+/// every produced job has finished.  One thread makes no pool: each job
+/// runs on the calling thread right after it is produced.
+void parallel_stream(unsigned n_threads, std::size_t max_in_flight,
+                     const std::function<std::function<void()>()>& produce);
 
 }  // namespace iocov::exec

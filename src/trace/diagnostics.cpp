@@ -36,6 +36,10 @@ void ParseDiagnostics::append(const ParseDiagnostics& other,
     total_ += other.total_ - other.entries_.size();
 }
 
+void ParseDiagnostics::shift_lines(std::uint64_t lines) {
+    for (auto& d : entries_) d.line += lines;
+}
+
 std::string ParseDiagnostics::to_string() const {
     if (total_ == 0) return "no parse diagnostics";
     std::string out = std::to_string(total_) + " input(s) dropped\n";

@@ -59,6 +59,10 @@ class ParseDiagnostics {
     /// by file name.  Entries beyond the retention cap are counted.
     void append(const ParseDiagnostics& other, std::string_view prefix = {});
 
+    /// Adds `lines` to the line number of every retained entry — how a
+    /// block parsed from line 1 takes its place in the whole input.
+    void shift_lines(std::uint64_t lines);
+
     /// Total drops recorded, including those beyond the retention cap.
     std::uint64_t total() const { return total_; }
 

@@ -1,7 +1,9 @@
 #include "trace/text_format.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 namespace iocov::trace {
 namespace {
@@ -140,29 +142,38 @@ std::optional<std::string> unescape_string(std::string_view s) {
 // ---- TextStrings -----------------------------------------------------------
 
 std::uint32_t TextStrings::intern(std::string_view s) {
-    return lookup(s, false);
-}
-
-std::optional<std::uint32_t> TextStrings::intern_unescaped(
-    std::string_view escaped) {
-    if (!unescape_into(escaped, unescaped_)) return std::nullopt;
-    return lookup(unescaped_, true);
-}
-
-std::uint32_t TextStrings::lookup(std::string_view s, bool copy) {
     const auto it = ids_.find(s);
     if (it != ids_.end()) return it->second;
-    if (copy) s = arena_.emplace_back(s);
+    s = store(s);
     const auto id = static_cast<std::uint32_t>(strings_.size());
     strings_.push_back(s);
     ids_.emplace(s, id);
     return id;
 }
 
-void TextStrings::clear() {
-    strings_.clear();
-    ids_.clear();
-    arena_.clear();
+std::optional<std::uint32_t> TextStrings::intern_unescaped(
+    std::string_view escaped) {
+    if (!unescape_into(escaped, unescaped_)) return std::nullopt;
+    return intern(unescaped_);
+}
+
+std::string_view TextStrings::store(std::string_view s) {
+    // A text block holds on the order of a thousand distinct strings,
+    // so a few 16 KiB chunks take them all.
+    constexpr std::size_t kChunkBytes = 16 << 10;
+    if (s.size() > arena_left_) {
+        arena_left_ = std::max(kChunkBytes, s.size());
+        arena_next_ = arena_
+                          .emplace_back(
+                              std::make_unique_for_overwrite<char[]>(
+                                  arena_left_))
+                          .get();
+    }
+    if (!s.empty()) std::memcpy(arena_next_, s.data(), s.size());
+    const std::string_view copy(arena_next_, s.size());
+    arena_next_ += s.size();
+    arena_left_ -= s.size();
+    return copy;
 }
 
 std::string format_event(const TraceEvent& event) {
@@ -286,11 +297,11 @@ std::vector<std::string_view> split_line_chunks(std::string_view text,
     return chunks;
 }
 
-std::size_t parse_chunk_rows(std::string_view chunk, EventBatch& out,
-                             TextStrings& strings, std::size_t* dropped,
-                             ParseDiagnostics* diags,
-                             std::uint64_t first_line,
-                             std::uint64_t base_offset) {
+std::uint64_t parse_chunk_rows(std::string_view chunk, EventBatch& out,
+                               TextStrings& strings, std::size_t* dropped,
+                               ParseDiagnostics* diags,
+                               std::uint64_t first_line,
+                               std::uint64_t base_offset) {
     if (dropped) *dropped = 0;
     const std::size_t rows0 = out.rows.size();
     // Lines run ~50-100 bytes with ~3-4 args; reserve generously (the
@@ -316,7 +327,7 @@ std::size_t parse_chunk_rows(std::string_view chunk, EventBatch& out,
             if (diags) diags->record(this_line, line_offset, reason, line);
         }
     }
-    return out.rows.size() - rows0;
+    return line_no - first_line;
 }
 
 std::vector<TraceEvent> parse_chunk(std::string_view chunk,
@@ -341,31 +352,50 @@ std::vector<TraceEvent> parse_stream(std::istream& in, std::size_t* dropped,
     return parse_chunk(read_text(in), dropped, diags);
 }
 
-std::string read_text(std::istream& in) {
-    constexpr std::size_t kStep = 64 * 1024;
-    std::string text;
-    std::streambuf* buf = in.rdbuf();
-    if (!buf) return text;
-    using Traits = std::char_traits<char>;
-    const auto here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
-    if (here != std::streampos(-1)) {
-        const auto end = buf->pubseekoff(0, std::ios::end, std::ios::in);
-        const bool back = buf->pubseekpos(here, std::ios::in) == here;
-        if (back && end != std::streampos(-1) && end > here) {
-            text.resize(static_cast<std::size_t>(end - here));
-            text.resize(static_cast<std::size_t>(
-                buf->sgetn(text.data(),
-                           static_cast<std::streamsize>(text.size()))));
+bool LineBlockReader::next(LineBlock& block) {
+    if (eof_ && carry_.empty()) return false;
+    // Room for the carried partial line and at least as much again.
+    const std::size_t want = std::max(kBlockBytes, 2 * carry_.size());
+    if (block.capacity < want) {
+        block.data = std::make_unique_for_overwrite<char[]>(want);
+        block.capacity = want;
+    }
+    block.offset = offset_;
+    block.size = carry_.size();
+    std::memcpy(block.data.get(), carry_.data(), carry_.size());
+    carry_.clear();
+    for (;;) {
+        while (!eof_ && block.size < block.capacity) {
+            const auto got =
+                buf_ ? buf_->sgetn(block.data.get() + block.size,
+                                   static_cast<std::streamsize>(
+                                       block.capacity - block.size))
+                     : 0;
+            if (got <= 0) eof_ = true;
+            else block.size += static_cast<std::size_t>(got);
         }
+        if (eof_) break;  // the rest of the stream, cut or not
+        const std::size_t cut = block.text().rfind('\n');
+        if (cut != std::string_view::npos) {
+            carry_.assign(block.text().substr(cut + 1));
+            block.size = cut + 1;
+            break;
+        }
+        // One line fills the whole block: grow it and read on.
+        auto grown = std::make_unique_for_overwrite<char[]>(2 * block.capacity);
+        std::memcpy(grown.get(), block.data.get(), block.size);
+        block.data = std::move(grown);
+        block.capacity *= 2;
     }
-    // A stream that cannot seek, or one that grew after the size probe.
-    while (!Traits::eq_int_type(buf->sgetc(), Traits::eof())) {
-        const std::size_t old = text.size();
-        text.resize(old + kStep);
-        const auto got = buf->sgetn(text.data() + old,
-                                    static_cast<std::streamsize>(kStep));
-        text.resize(old + static_cast<std::size_t>(got));
-    }
+    offset_ += block.size;
+    return block.size > 0;
+}
+
+std::string read_text(std::istream& in) {
+    std::string text;
+    LineBlockReader reader(in);
+    LineBlock block;
+    while (reader.next(block)) text.append(block.text());
     return text;
 }
 

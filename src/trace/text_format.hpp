@@ -12,15 +12,19 @@
 //
 // There is one grammar, parse_row(): it parses a line into an IOCT-style
 // SoA row (trace::EventBatch) whose strings are ids into a TextStrings
-// table of views aliasing the text, so a parsed chunk allocates per
-// distinct string, not per event, and feeds the same admit_row ->
-// consume_row loop as an IOCT trace.  parse_event,
-// parse_chunk and parse_stream are adapters that materialize its rows
-// into TraceEvents.
+// table that owns a copy of each distinct string, so a parsed chunk
+// allocates per distinct string, not per event, its rows outlive the
+// text they came from, and it feeds the same admit_row -> consume_row
+// loop as an IOCT trace.  parse_event, parse_chunk and parse_stream
+// are adapters that materialize its rows into TraceEvents.
+//
+// Streams are read in line-aligned blocks (LineBlockReader) into
+// reusable buffers, so a caller can parse one block while the next is
+// read and never hold the whole text.
 #pragma once
 
-#include <deque>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,12 +43,13 @@ std::string format_event(const TraceEvent& event);
 /// The string table of parsed text rows: each distinct syscall name, arg
 /// name and string value gets one id, in order of first use, like an
 /// IOCT string table (and bound the same way, SyscallTable::bind_all
-/// and TraceFilter::bind).  Entries are views into the parsed text;
-/// only strings that had escapes are unescaped into an arena whose
-/// addresses stay stable until clear().
+/// and TraceFilter::bind).  Each new string is copied into an arena
+/// owned by the table, so entries stay valid, at stable addresses, for
+/// the table's lifetime — whatever happens to the text they were parsed
+/// from.
 class TextStrings {
   public:
-    /// Id of `s`, which must outlive the table (a view into the text).
+    /// Id of `s`, its bytes copied into the arena when new.
     std::uint32_t intern(std::string_view s);
     /// Id of unescape_string(`escaped`), the unescaped bytes copied into
     /// the arena when new; nullopt on an invalid escape sequence.
@@ -52,25 +57,24 @@ class TextStrings {
 
     const std::vector<std::string_view>& strings() const { return strings_; }
 
-    /// Forgets every entry.
-    void clear();
-
   private:
-    /// intern()'s lookup; a new `s` is first copied into the arena when
-    /// `copy` is set.
-    std::uint32_t lookup(std::string_view s, bool copy);
+    /// A copy of `s` in the arena.
+    std::string_view store(std::string_view s);
 
     std::vector<std::string_view> strings_;
     std::unordered_map<std::string_view, std::uint32_t> ids_;
-    std::deque<std::string> arena_;  ///< unescaped strings (stable)
-    std::string unescaped_;          ///< intern_unescaped's scratch
+    std::vector<std::unique_ptr<char[]>> arena_;  ///< chunks, never moved
+    char* arena_next_ = nullptr;  ///< free bytes of the last chunk
+    std::size_t arena_left_ = 0;
+    std::string unescaped_;  ///< intern_unescaped's scratch
 };
 
 /// The text grammar.  Parses a line produced by format_event into one
-/// row appended to `out`, every string interned into `strings` (so
-/// `line` must outlive `strings`).  Names and string values become Str
-/// args, 0x-hex numbers Uint and decimal numbers Int — exactly the
-/// types IOCT encodes for the event parse_event returns.  On malformed
+/// row appended to `out`, every string interned into `strings` (which
+/// copies what it keeps, so `line` may go away afterwards).  Names and
+/// string values become Str args, 0x-hex numbers Uint and decimal
+/// numbers Int — exactly the types IOCT encodes for the event
+/// parse_event returns.  On malformed
 /// input returns false and appends no row or arg (strings interned
 /// before the fault may stay), with `*reason` (when non-null) naming
 /// the first malformed field as a static string.
@@ -95,7 +99,7 @@ std::vector<TraceEvent> parse_stream(std::istream& in,
 /// Splits `text` into at most `n_chunks` byte ranges cut at line
 /// boundaries (a line never straddles two chunks), sized as evenly as
 /// the line structure allows.  The views alias `text`; concatenating
-/// them in order reproduces it.  Building block of the parallel parse.
+/// them in order reproduces it.
 std::vector<std::string_view> split_line_chunks(std::string_view text,
                                                 std::size_t n_chunks);
 
@@ -105,13 +109,14 @@ std::vector<std::string_view> split_line_chunks(std::string_view text,
 /// lines are counted into *dropped (when non-null, which is reset
 /// first) and recorded into `diags` with their line number and byte
 /// offset, `first_line`/`base_offset` positioning the chunk within the
-/// whole input.  Returns the number of rows appended.
-std::size_t parse_chunk_rows(std::string_view chunk, EventBatch& out,
-                             TextStrings& strings,
-                             std::size_t* dropped = nullptr,
-                             ParseDiagnostics* diags = nullptr,
-                             std::uint64_t first_line = 1,
-                             std::uint64_t base_offset = 0);
+/// whole input.  Returns the number of lines in `chunk`, a last line
+/// without '\n' included.
+std::uint64_t parse_chunk_rows(std::string_view chunk, EventBatch& out,
+                               TextStrings& strings,
+                               std::size_t* dropped = nullptr,
+                               ParseDiagnostics* diags = nullptr,
+                               std::uint64_t first_line = 1,
+                               std::uint64_t base_offset = 0);
 
 /// parse_stream over one in-memory chunk: same blank/'#'/malformed-line
 /// handling, no istream: parse_chunk_rows with every row materialized.
@@ -123,9 +128,44 @@ std::vector<TraceEvent> parse_chunk(std::string_view chunk,
                                     std::uint64_t first_line = 1,
                                     std::uint64_t base_offset = 0);
 
-/// Reads the rest of `in` into one buffer, byte for byte: one bulk read
-/// sized from the end position when the stream can seek, 64 KiB reads
-/// otherwise.
+/// A reusable buffer of LineBlockReader: allocated on first use, grown
+/// for a line longer than a block, never zero-filled.
+struct LineBlock {
+    std::unique_ptr<char[]> data;
+    std::size_t capacity = 0;
+    std::size_t size = 0;      ///< bytes of the block
+    std::uint64_t offset = 0;  ///< of its first byte in the stream
+
+    std::string_view text() const { return {data.get(), size}; }
+};
+
+/// Reads the rest of a stream as consecutive blocks of whole lines.
+/// Each block is filled to kBlockBytes and cut after its last '\n'; the
+/// partial line after the cut starts the next block.  A line longer
+/// than a block grows the block until it fits.  The last block holds
+/// the rest of the stream, uncut, so only it may end without '\n'.  The end
+/// of the stream is a read that returns nothing, not a short read, so
+/// pipes that trickle bytes read exactly.  Concatenating the blocks
+/// reproduces the stream byte for byte.
+class LineBlockReader {
+  public:
+    static constexpr std::size_t kBlockBytes = std::size_t{256} << 10;
+
+    explicit LineBlockReader(std::istream& in) : buf_(in.rdbuf()) {}
+
+    /// Fills `block` (any buffer, reused as is when large enough) with
+    /// the next block.  Returns false at the end of the stream.
+    bool next(LineBlock& block);
+
+  private:
+    std::streambuf* buf_;
+    std::string carry_;  ///< the partial line after the last cut
+    std::uint64_t offset_ = 0;
+    bool eof_ = false;
+};
+
+/// Reads the rest of `in` into one string, byte for byte (the
+/// concatenated blocks of a LineBlockReader).
 std::string read_text(std::istream& in);
 
 /// Escapes a string for quoting inside a trace line.

@@ -11,11 +11,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "abi/fcntl.hpp"
@@ -27,7 +32,9 @@
 #include "syscall/process.hpp"
 #include "testers/fixtures.hpp"
 #include "testers/generator.hpp"
+#include "trace/binary_format.hpp"
 #include "trace/sink.hpp"
+#include "trace/text_format.hpp"
 #include "vfs/filesystem.hpp"
 
 namespace iocov::core {
@@ -166,6 +173,115 @@ TEST(ThreadPool, OneLaneIsAPlainLoopWithTheSameContract) {
     exec::parallel_for_stealing(8u, std::vector<std::uint64_t>(3, 1),
                                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// ---- streaming executor (exec::parallel_stream) ----------------------------
+
+/// A producer of `n` jobs: job i bumps hits[i] and then runs `extra(i)`.
+std::function<std::function<void()>()> counting_producer(
+    std::vector<std::atomic<int>>& hits, std::size_t& produced,
+    std::function<void(std::size_t)> extra = [](std::size_t) {}) {
+    return [&hits, &produced, extra]() -> std::function<void()> {
+        if (produced == hits.size()) return {};
+        const std::size_t i = produced++;
+        return [&hits, extra, i] {
+            hits[i].fetch_add(1);
+            extra(i);
+        };
+    };
+}
+
+TEST(ParallelStream, RunsEveryProducedJobExactlyOnce) {
+    for (const std::size_t bound : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{64}}) {
+        std::vector<std::atomic<int>> hits(1000);
+        std::size_t produced = 0;
+        exec::parallel_stream(4u, bound, counting_producer(hits, produced));
+        EXPECT_EQ(produced, hits.size());
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i].load(), 1) << "job " << i << ", bound " << bound;
+    }
+    // An empty stream returns at once; a bound of 0 means 1.
+    std::vector<std::atomic<int>> none;
+    std::size_t produced = 0;
+    exec::parallel_stream(4u, 0, counting_producer(none, produced));
+    EXPECT_EQ(produced, 0u);
+}
+
+TEST(ParallelStream, NeverHasMoreThanTheBoundInFlight) {
+    // Jobs outlast production, so the producer runs into the bound; a
+    // job leaves the count just before it returns, so the count seen
+    // here never lags the executor's own.
+    constexpr std::size_t kBound = 3;
+    std::mutex mu;
+    std::size_t in_flight = 0, peak = 0, produced = 0;
+    exec::parallel_stream(4u, kBound, [&]() -> std::function<void()> {
+        if (produced == 200) return {};
+        ++produced;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            peak = std::max(peak, ++in_flight);
+        }
+        return [&] {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            std::lock_guard<std::mutex> lock(mu);
+            --in_flight;
+        };
+    });
+    EXPECT_EQ(in_flight, 0u);
+    EXPECT_EQ(peak, kBound);
+}
+
+TEST(ParallelStream, RethrowsTheFirstErrorAfterEveryJobFinished) {
+    std::vector<std::atomic<int>> hits(64);
+    std::size_t produced = 0;
+    EXPECT_THROW(exec::parallel_stream(
+                     3u, 4,
+                     counting_producer(hits, produced,
+                                       [](std::size_t i) {
+                                           if (i == 17)
+                                               throw std::runtime_error("boom");
+                                       })),
+                 std::runtime_error);
+    // A failed job neither stops production nor skips another job.
+    EXPECT_EQ(produced, hits.size());
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "job " << i;
+
+    // A producer that throws ends the stream; what it produced still
+    // runs, and its error is the one rethrown.
+    std::atomic<int> ran{0};
+    int calls = 0;
+    EXPECT_THROW(exec::parallel_stream(3u, 2,
+                                       [&]() -> std::function<void()> {
+                                           if (++calls == 6)
+                                               throw std::logic_error("eof");
+                                           return [&] { ran.fetch_add(1); };
+                                       }),
+                 std::logic_error);
+    EXPECT_EQ(ran.load(), 5);
+}
+
+TEST(ParallelStream, OneThreadRunsEachJobInlineRightAfterProducingIt) {
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::string> log;
+    int next = 0;
+    EXPECT_THROW(
+        exec::parallel_stream(1u, 8, [&]() -> std::function<void()> {
+            if (next == 4) return {};
+            const int i = next++;
+            log.push_back("produce " + std::to_string(i));
+            return [&log, caller, i] {
+                EXPECT_EQ(std::this_thread::get_id(), caller);
+                log.push_back("run " + std::to_string(i));
+                if (i == 1) throw std::runtime_error("boom");
+            };
+        }),
+        std::runtime_error);
+    EXPECT_EQ(log, (std::vector<std::string>{"produce 0", "run 0",
+                                             "produce 1", "run 1",
+                                             "produce 2", "run 2",
+                                             "produce 3", "run 3"}));
 }
 
 // ---- pid placement (exec::lpt_place) ---------------------------------------
@@ -398,6 +514,241 @@ TEST(ParallelPipeline, MalformedLinesCountedAcrossChunks) {
     EXPECT_EQ(d1, d2);
     EXPECT_GE(d1, 3u);
     EXPECT_EQ(parallel.report(), serial.report());
+}
+
+// ---- streamed text blocks == serial parse ----------------------------------
+//
+// consume_text* read the stream in LineBlockReader blocks of a fixed
+// size and parse each on its own, so these inputs span many blocks.
+
+constexpr std::size_t kBlock = trace::LineBlockReader::kBlockBytes;
+
+/// A stream that cannot seek and hands out at most 7 bytes per read,
+/// however many are asked for, like a slow pipe.
+class ShortReadBuf : public std::streambuf {
+  public:
+    explicit ShortReadBuf(const std::string& bytes) : bytes_(bytes) {}
+
+  protected:
+    std::streamsize xsgetn(char* out, std::streamsize n) override {
+        const auto got = static_cast<std::streamsize>(std::min<std::size_t>(
+            {7, static_cast<std::size_t>(n), bytes_.size() - pos_}));
+        std::memcpy(out, bytes_.data() + pos_, static_cast<std::size_t>(got));
+        pos_ += static_cast<std::size_t>(got);
+        return got;
+    }
+    int_type underflow() override {
+        if (pos_ == bytes_.size()) return traits_type::eof();
+        one_ = bytes_[pos_++];
+        setg(&one_, &one_, &one_ + 1);
+        return traits_type::to_int_type(one_);
+    }
+
+  private:
+    const std::string& bytes_;
+    std::size_t pos_ = 0;
+    char one_ = 0;
+};
+
+/// (offset, size) of each block the reader cuts `text` into.
+std::vector<std::pair<std::size_t, std::size_t>> block_spans(
+    const std::string& text) {
+    std::istringstream in(text);
+    trace::LineBlockReader reader(in);
+    trace::LineBlock block;
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    while (reader.next(block))
+        spans.emplace_back(static_cast<std::size_t>(block.offset), block.size);
+    return spans;
+}
+
+TEST(TextBlocks, ReaderCutsWholeLinesAndReproducesTheStream) {
+    std::string short_lines;
+    for (int i = 0; short_lines.size() < 3 * kBlock; ++i)
+        short_lines += "line " + std::to_string(i) + "\n";
+    const std::string long_line(3 * kBlock, 'L');
+    for (const std::string& bytes :
+         {std::string(), std::string("no final newline"),
+          std::string("a\nb\n"), std::string("nul\0byte\n\n", 11),
+          std::string(kBlock + 1, '\n'), short_lines + "tail",
+          short_lines + long_line + "\n" + short_lines,
+          "x\n" + long_line}) {
+        for (const bool short_reads : {false, true}) {
+            std::istringstream seekable(bytes);
+            ShortReadBuf pipe_buf(bytes);
+            std::istream pipe(&pipe_buf);
+            trace::LineBlockReader reader(short_reads ? pipe : seekable);
+            trace::LineBlock block;  // one buffer, reused for every block
+            std::vector<std::string> blocks;
+            std::string joined;
+            while (reader.next(block)) {
+                ASSERT_GT(block.size, 0u);
+                ASSERT_EQ(block.offset, joined.size());
+                blocks.emplace_back(block.text());
+                joined += block.text();
+            }
+            ASSERT_EQ(joined, bytes);
+            for (std::size_t b = 0; b + 1 < blocks.size(); ++b) {
+                // Whole lines, and cut only where the next line would
+                // not have fit.
+                ASSERT_EQ(blocks[b].back(), '\n') << "block " << b;
+                const std::size_t next_line =
+                    std::min(blocks[b + 1].find('\n'), blocks[b + 1].size());
+                EXPECT_GE(blocks[b].size() + next_line + 1, kBlock)
+                    << "block " << b;
+            }
+            EXPECT_FALSE(reader.next(block));  // the end stays the end
+        }
+    }
+}
+
+/// Makes the first and the last line of every block malformed with
+/// same-length edits, so no block boundary moves.
+std::string break_block_edges(std::string text) {
+    for (const auto& [offset, size] : block_spans(text)) {
+        if (text[offset] != '\n') text[offset] = '!';
+        std::size_t last = offset + size - 1;
+        if (text[last] == '\n' && last > offset) --last;
+        if (text[last] != '\n') text[last] = '~';
+    }
+    return text;
+}
+
+/// An openat by pid 40 of a path needing every escape, then writes to
+/// the fd it returns.
+std::string escaped_path_lines(std::uint64_t seq) {
+    trace::TraceEvent open;
+    open.seq = seq;
+    open.pid = open.tid = 40;
+    open.syscall = "openat";
+    open.args = {{"dfd", trace::ArgValue{std::int64_t{-100}}},
+                 {"pathname",
+                  trace::ArgValue{std::string("/mnt/test/we\"ird\\na\tme\n")}},
+                 {"flags", trace::ArgValue{std::uint64_t{0102}}},
+                 {"mode", trace::ArgValue{std::uint64_t{0600}}}};
+    open.ret = 900;
+    trace::TraceEvent write;
+    write.seq = seq + 1;
+    write.pid = write.tid = 40;
+    write.syscall = "write";
+    write.args = {{"fd", trace::ArgValue{std::int64_t{900}}},
+                  {"buf", trace::ArgValue{std::uint64_t{0x1000}}},
+                  {"count", trace::ArgValue{std::uint64_t{seq % 5000}}}};
+    write.ret = static_cast<std::int64_t>(seq % 5000);
+    return trace::format_event(open) + "\n" + trace::format_event(write) +
+           "\n";
+}
+
+/// multi_pid_text_trace cut to at least `min_bytes`, with the escaped
+/// pid-40 lines first (block 0) and again after every ~1500 lines.
+std::string multi_block_trace(std::size_t min_bytes) {
+    const std::string base = multi_pid_text_trace(min_bytes / 60);
+    std::string text = escaped_path_lines(1);
+    std::size_t lines = 0;
+    for (std::size_t at = 0; at < base.size() && text.size() < min_bytes;) {
+        const std::size_t eol = base.find('\n', at);
+        text.append(base, at, eol + 1 - at);
+        at = eol + 1;
+        if (++lines % 1500 == 0) text += escaped_path_lines(lines);
+    }
+    return text;
+}
+
+/// consume_text_parallel at 1, 2 and 4 threads against the serial
+/// reference: parse_stream, then the TraceEvent route (consume_all) —
+/// the report, drops, filtered count and every diagnostic — and
+/// consume_binary on the IOCT twin of the parsed events.
+void expect_blocks_match_serial(const std::string& text,
+                                bool short_reads = false) {
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    std::istringstream ref_in(text);
+    std::size_t ref_dropped = 0;
+    trace::ParseDiagnostics ref_diags;
+    const auto events = trace::parse_stream(ref_in, &ref_dropped, &ref_diags);
+    IOCov reference(config);
+    reference.consume_all(events);
+    IOCov twin(config);
+    EXPECT_EQ(twin.consume_binary(trace::encode_trace(events)), 0u);
+    ASSERT_EQ(twin.report(), reference.report());
+    ASSERT_GT(reference.report().events_tracked, 0u);
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        IOCov iocov(config);
+        std::istringstream seekable(text);
+        ShortReadBuf pipe_buf(text);
+        std::istream pipe(&pipe_buf);
+        EXPECT_EQ(iocov.consume_text_parallel(short_reads ? pipe : seekable,
+                                              threads),
+                  ref_dropped);
+        EXPECT_EQ(iocov.report(), reference.report());
+        EXPECT_EQ(iocov.events_filtered_out(), reference.events_filtered_out());
+        EXPECT_EQ(iocov.ingest_stats().bytes, text.size());
+        const auto& got = iocov.diagnostics();
+        EXPECT_EQ(got.total(), ref_diags.total());
+        ASSERT_EQ(got.entries().size(), ref_diags.entries().size());
+        for (std::size_t d = 0; d < got.entries().size(); ++d) {
+            const auto& x = got.entries()[d];
+            const auto& y = ref_diags.entries()[d];
+            EXPECT_TRUE(x.line == y.line && x.offset == y.offset &&
+                        x.reason == y.reason && x.excerpt == y.excerpt)
+                << "diagnostic " << d << ": line " << x.line << " vs "
+                << y.line << ", offset " << x.offset << " vs " << y.offset
+                << ", " << x.reason << " vs " << y.reason;
+        }
+    }
+}
+
+TEST(TextBlocks, MalformedFirstAndLastLinesOfEveryBlock) {
+    const std::string text = break_block_edges(multi_block_trace(6 * kBlock));
+    const auto spans = block_spans(text);
+    ASSERT_GE(spans.size(), 6u);
+    // The edits hit what they aim at: every block starts and ends with
+    // a broken line.
+    for (const auto& [offset, size] : spans) {
+        EXPECT_EQ(text[offset], '!');
+        EXPECT_EQ(text[offset + size - 2], '~');
+    }
+    expect_blocks_match_serial(text);
+}
+
+TEST(TextBlocks, LongLinesBlankBlocksAndNoFinalNewline) {
+    std::string text = multi_block_trace(2 * kBlock);
+    // A well-formed line longer than two blocks, then a malformed one.
+    trace::TraceEvent mkdir;
+    mkdir.seq = 7;
+    mkdir.pid = mkdir.tid = 41;
+    mkdir.syscall = "mkdir";
+    mkdir.args = {{"pathname", trace::ArgValue{"/mnt/test/" +
+                                                std::string(2 * kBlock, 'd')}},
+                  {"mode", trace::ArgValue{std::uint64_t{0755}}}};
+    mkdir.ret = -36;
+    text += trace::format_event(mkdir) + "\n";
+    text += std::string(kBlock + 100, 'x') + "\n";
+    // More than a block of nothing but blank and comment lines.
+    while (text.size() < 5 * kBlock)
+        text += "\n# a comment line that the parser skips\n\n";
+    text += multi_block_trace(2 * kBlock);
+    // The last line has no '\n'.
+    ASSERT_EQ(text.back(), '\n');
+    text.pop_back();
+    ASSERT_GE(block_spans(text).size(), 5u);
+    expect_blocks_match_serial(text);
+}
+
+TEST(TextBlocks, StringsOutliveTheBuffersTheyWereReadInto) {
+    // With more blocks than buffers, every buffer is read into again
+    // while rows parsed from it — the escaped path of block 0 among
+    // them — still wait for the lanes.
+    const std::string text = multi_block_trace(10 * kBlock);
+    ASSERT_GE(block_spans(text).size(), 10u);
+    ASSERT_NE(text.find("we\\\"ird"), std::string::npos);
+    expect_blocks_match_serial(text);
+}
+
+TEST(TextBlocks, ShortReadsFromAStreamThatCannotSeek) {
+    const std::string text = break_block_edges(multi_block_trace(4 * kBlock));
+    expect_blocks_match_serial(text, /*short_reads=*/true);
 }
 
 }  // namespace

@@ -443,6 +443,24 @@ TEST(TextFormat, RowParseMatchesParseEvent) {
     }
 }
 
+TEST(TextFormat, StringTableOwnsItsStrings) {
+    // A parsed table must not point into the text: the text route reads
+    // the next block into the same buffer while earlier rows wait.
+    std::string text;
+    for (const auto& line : adversarial_lines(7)) text += line + "\n";
+    std::istringstream in(text);
+    const auto events = parse_stream(in);
+    EventBatch batch;
+    TextStrings strings;
+    parse_chunk_rows(text, batch, strings);
+    std::fill(text.begin(), text.end(), 'X');
+    ASSERT_EQ(batch.rows.size(), events.size());
+    EventScratch scratch;
+    for (std::size_t r = 0; r < events.size(); ++r)
+        ASSERT_EQ(scratch.materialize(batch, r, strings.strings()), events[r])
+            << "row " << r;
+}
+
 /// A stream that cannot seek and hands out at most 7 bytes per read,
 /// like a pipe.
 class TrickleBuf : public std::streambuf {
