@@ -221,6 +221,24 @@ if [ "$STAGE" = all ] || [ "$STAGE" = cli ]; then
   rc=0
   { "$CLI" analyze "$TMP/t.ioct" >&- ; } 2>/dev/null || rc=$?
   [ "$rc" -eq 3 ] || fail "analyze with closed stdout exited $rc, want 3"
+
+  # Every bad argument is a usage error, diagnosed before any input is
+  # opened: unknown flags, dangling operands, extra positionals, a
+  # suite outside the choice list, and a zero checkpoint interval.
+  expect_rc 2 "$CLI" analyze "$TMP/t.ioct" --save
+  expect_rc 2 "$CLI" analyze --sttrict "$TMP/t.ioct"
+  expect_rc 2 "$CLI" trend --json
+  expect_rc 2 "$CLI" demo --bogus
+  expect_rc 2 "$CLI" demo --suite bogus
+  expect_rc 2 "$CLI" bugstudy --bogus
+  expect_rc 2 "$CLI" tcd "$TMP/a.cov" "$TMP/b.cov"
+  expect_rc 2 "$CLI" report "$TMP/a.cov" "$TMP/b.cov"
+  expect_rc 2 "$CLI" analyze --checkpoint-every 0 "$TMP/shards"
+  expect_rc 2 "$CLI" merge --checkpoint-every 0 -o "$TMP/x.iocs" "$TMP/shards"
+  expect_rc 2 "$CLI" serve --checkpoint-every 0 --socket "$SOCK"
+  expect_rc 3 "$CLI" analyze --syz "$TMP/shards"    # a directory
+  expect_rc 0 "$CLI" --help
+  expect_rc 0 "$CLI" analyze --help
 fi
 
 # ---- stage: faults (socket-errno injection sweep) --------------------------

@@ -1,36 +1,6 @@
-// iocov — command-line front end for the library.
-//
-//   iocov analyze  [--mount PATH] [--syz] [--strict] [--max-errors N]
-//                  [--save FILE] [--snapshot FILE] TRACE...
-//   iocov convert  IN OUT                       (text <-> IOCT binary)
-//   iocov merge    [--threads N] -o OUT.iocs INPUT...
-//                                              (fleet snapshot merge)
-//   iocov trend    [--window SECS] [--by-label] DIR
-//                                              (coverage-over-time JSON)
-//   iocov report   [--untested] [--under N] [--summary] FILE
-//   iocov diff     BEFORE AFTER
-//   iocov tcd      [--target N] [--arg BASE.KEY] FILE
-//   iocov demo     [--suite NAME] [--scale S]   (run a simulator)
-//   iocov campaign [--suite NAME] [--scale S] [--seed N] [--runs N]
-//                  [--save FILE]               (fault-space exploration)
-//   iocov guide    [--suite NAME] [--scale S] [--seed N] [--rounds N]
-//                  [--budget N] [--per-gap N] [--target N]
-//                  [--baseline FILE] [--save FILE]
-//                                              (gap-driven synthesis)
-//   iocov crashtest [--workloads a,b | --list] [--seed N] [--reorders N]
-//                  [--no-torn] [--max-points N] [--target N]
-//                  [--inject-skip-barrier K] [--json FILE]
-//                                              (crash-consistency testing)
-//   iocov bugstudy [--scale S] [--export]       (Section 2 study/dataset)
-//
-// `analyze` consumes one or more traces — LTTng-style text or IOCT
-// binary, autodetected per file by the "IOCT" magic (or, with --syz,
-// syzkaller programs) — and prints the coverage summary; --save writes
-// the report in the persistent format `report`/`diff`/`tcd` consume.
-// `convert` transcodes between the two trace formats (direction is
-// inferred from the input's magic).  `demo` exists so the tool is
-// explorable without captured traces: it runs one of the built-in
-// suite simulators end to end.
+// iocov — command-line front end for the library.  Each cmd_* function
+// declares its flags as one table (see Flags); `iocov --help` is rendered
+// from those tables, and Cli::parse is the only argv parser.
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
@@ -38,10 +8,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bugstudy/study.hpp"
@@ -87,187 +59,298 @@ constexpr int kExitFindings = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
-int usage() {
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  iocov analyze [--mount PATH] [--syz] [--extended] [--threads N]\n"
-        "                [--strict] [--max-errors N] [--stats]\n"
-        "                [--checkpoint FILE] [--checkpoint-every N]\n"
-        "                [--resume] [--save FILE] [--snapshot FILE]\n"
-        "                TRACE...\n"
-        "      --mount PATH (default /mnt/test) is a literal mount point:\n"
-        "      events on PATH itself and everything under PATH/ are kept,\n"
-        "      the rest filtered out.\n"
-        "      TRACE format is autodetected per file: IOCT binary (by\n"
-        "      its \"IOCT\" magic), IOCS coverage snapshot (\"IOCS\"\n"
-        "      magic — merged directly, no re-ingest; a version this\n"
-        "      build cannot read is a structured error), or LTTng-style\n"
-        "      text.  A TRACE that is a directory analyzes every IOCT\n"
-        "      file in it (sorted by name; non-IOCT entries are\n"
-        "      diagnosed and skipped), with files scheduled onto\n"
-        "      --threads N work-stealing workers.  Each TRACE, and\n"
-        "      each file of a directory, is analyzed with its own fd/cwd\n"
-        "      filter state: an fd opened in one file is not watched in\n"
-        "      the next.  Malformed input is\n"
-        "      skipped and diagnosed; --max-errors N fails the run when\n"
-        "      more than N inputs were dropped, --strict is\n"
-        "      --max-errors 0.  --stats prints ingest throughput and\n"
-        "      steady-state allocation counters.  --snapshot writes the\n"
-        "      final state as a compact binary .iocs snapshot for\n"
-        "      `iocov merge` / `iocov trend`.\n"
-        "  iocov convert IN OUT\n"
-        "      transcode text -> IOCT binary or IOCT binary -> text\n"
-        "      (direction inferred from IN's magic)\n"
-        "  iocov merge   [--threads N] [--strict] [--max-errors N]\n"
-        "                [--label L] [--timestamp T] [--json FILE]\n"
-        "                [--checkpoint FILE] [--checkpoint-every N]\n"
-        "                [--resume] -o OUT.iocs INPUT...\n"
-        "      fleet aggregation: load every .iocs snapshot from the\n"
-        "      INPUTs (directories are scanned non-recursively, sorted\n"
-        "      by name), merge them on a deterministic pairwise tree\n"
-        "      (--threads N work-stealing workers; byte-identical output\n"
-        "      at any thread count), and write the merged snapshot to\n"
-        "      OUT.iocs.  Unreadable/foreign/version-skewed entries are\n"
-        "      diagnosed per file and counted against --max-errors.\n"
-        "      --json writes a deterministic per-space summary.\n"
-        "  iocov trend   [--window SECS] [--by-label] [--target N]\n"
-        "                [--threads N] [--json FILE] DIR\n"
-        "      coverage movement over a snapshot directory: slice the\n"
-        "      snapshots by capture-time window (--window) or by label\n"
-        "      (--by-label), merge each slice, and emit per-slice TCD +\n"
-        "      gap counts as deterministic JSON (stdout, or --json FILE).\n"
-        "  iocov report  [--untested] [--under N] FILE\n"
-        "  iocov diff    BEFORE AFTER\n"
-        "  iocov tcd     [--target N] [--arg BASE.KEY] FILE\n"
-        "  iocov serve   [--socket PATH] [--tcp PORT] [--mount PATH]\n"
-        "                [--extended] [--threads N] [--delta-dir DIR]\n"
-        "                [--delta-every N] [--label L]\n"
-        "                [--checkpoint FILE] [--checkpoint-every N]\n"
-        "                [--resume]\n"
-        "      live coverage daemon: a single epoll event loop accepts\n"
-        "      framed IOCT shards from many concurrent producers on a\n"
-        "      Unix-domain socket (--socket) and/or 127.0.0.1 TCP port\n"
-        "      (--tcp; 0 binds an ephemeral port, printed at startup)\n"
-        "      and answers queries *while ingesting*.  Each shard is\n"
-        "      analyzed in isolation and merged, so after any pushes\n"
-        "      `iocov query report` is byte-identical to `iocov analyze\n"
-        "      DIR/` over the same files; shard names deduplicate, so\n"
-        "      re-pushing after a crash + --resume converges to the\n"
-        "      uninterrupted result.  --delta-dir emits durable IOCS\n"
-        "      delta snapshots every --delta-every pushes (and at\n"
-        "      shutdown; merging all deltas of a run reproduces the\n"
-        "      full state); --checkpoint writes a resumable IOCK\n"
-        "      manifest (mode serve) every --checkpoint-every pushes.\n"
-        "      SIGTERM/SIGINT/`iocov query stop` shut down gracefully\n"
-        "      (final delta + checkpoint).\n"
-        "  iocov push    [--socket PATH | --tcp PORT] [--timeout-ms N]\n"
-        "                FILE...\n"
-        "      stream IOCT trace files to a serve daemon over one\n"
-        "      connection, one acknowledged push per file (the shard\n"
-        "      name is the file's basename — the daemon's dedup key).\n"
-        "  iocov query   [--socket PATH | --tcp PORT] [--timeout-ms N]\n"
-        "                [--target N] [--arg BASE.KEY] [--save FILE]\n"
-        "                report|gaps|tcd|status|ping|stop\n"
-        "      query a serve daemon: `report` returns the saved-report\n"
-        "      text (with --save, byte-identical to `analyze --save`\n"
-        "      over the pushed shards), `gaps` the untested partitions,\n"
-        "      `tcd` the coverage deviation for --arg/--target,\n"
-        "      `status` daemon counters, `stop` a graceful shutdown.\n"
-        "      Every answer is one epoch-tagged consistent state — an\n"
-        "      exact prefix of the accepted pushes, never a torn\n"
-        "      histogram, even mid-ingest.\n"
-        "  iocov demo    [--suite crashmonkey|xfstests|ltp] [--scale S]\n"
-        "  iocov campaign [--suite crashmonkey|xfstests|ltp] [--scale S]\n"
-        "                 [--seed N] [--samples N] [--runs N] [--chaos N]\n"
-        "                 [--permille N] [--mount PATH] [--extended]\n"
-        "                 [--save FILE]\n"
-        "      replay the suite once fault-free, then once per (op,\n"
-        "      errno, k-th occurrence) fault point (EIO/ENOMEM/EINTR/\n"
-        "      ENOSPC), fsck'ing the file system and checking errno\n"
-        "      surfacing after every run; --runs bounds the sweep,\n"
-        "      --chaos adds seeded probabilistic runs.  Exits 1 on any\n"
-        "      fsck or faithfulness violation.\n"
-        "  iocov guide   [--suite crashmonkey|xfstests|ltp] [--scale S]\n"
-        "                [--seed N] [--rounds N] [--budget N] [--per-gap N]\n"
-        "                [--target N] [--mount PATH] [--extended]\n"
-        "                [--baseline FILE] [--save FILE]\n"
-        "      close the coverage loop: measure the baseline's untested\n"
-        "      partitions (TCD-ranked), synthesize syscalls + fault\n"
-        "      injections aimed at each gap, re-measure, and iterate\n"
-        "      until the TCD plateaus or the call budget runs out.\n"
-        "      --baseline guides from a saved report instead of\n"
-        "      replaying a suite; --save writes the merged final report.\n"
-        "      Prints a before/after table per coverage space.\n"
-        "  iocov crashtest [--workloads a,b | --list] [--seed N]\n"
-        "                  [--reorders N] [--no-torn] [--max-points N]\n"
-        "                  [--target N] [--inject-skip-barrier K]\n"
-        "                  [--json FILE]\n"
-        "      coverage-guided crash-consistency testing: run the\n"
-        "      crashmonkey-baseline workloads, log durable effects,\n"
-        "      enumerate bounded crash states (barrier points, partial\n"
-        "      in-order tails, seeded reordered tails, torn writes) and\n"
-        "      check each recovered state against the persisted-prefix\n"
-        "      oracle plus fsck.  Deterministic for a fixed --seed.\n"
-        "      --inject-skip-barrier K seeds a lost-barrier bug into the\n"
-        "      replayer to validate the oracle (exits 0 iff caught);\n"
-        "      otherwise exits 1 when any bug is found.\n"
-        "  iocov bugstudy [--scale S] [--export]\n"
-        "\n"
-        "durability: every file the tool writes (reports, snapshots,\n"
-        "json, checkpoints) is published atomically — full write +\n"
-        "fsync to a temp file in the destination directory, then\n"
-        "rename + directory fsync — so a crash or fault at any instant\n"
-        "leaves the previous complete artifact or the new complete\n"
-        "artifact, never a torn file.\n"
-        "\n"
-        "checkpoints: `merge --checkpoint FILE` and (single-directory)\n"
-        "`analyze --checkpoint FILE` write a resumable IOCK manifest\n"
-        "every N consumed inputs (--checkpoint-every N, default 8);\n"
-        "--resume continues an interrupted walk from the manifest and\n"
-        "produces byte-identical final output.  The manifest is removed\n"
-        "on success.\n"
-        "\n"
-        "strictness: numeric flag operands are parsed whole — junk,\n"
-        "embedded signs, overflow, or a missing operand is a usage\n"
-        "error (exit 2), never a silent 0 or a saturated value.\n"
-        "`trend --window 0` and `merge --timestamp 0` are rejected as\n"
-        "degenerate (see their descriptions above).\n"
-        "\n"
-        "exit codes:\n"
-        "  0  success\n"
-        "  1  findings (coverage regression, bugs found, --max-errors\n"
-        "     budget exceeded)\n"
-        "  2  usage error\n"
-        "  3  I/O or artifact error (unreadable input, undecodable\n"
-        "     artifact, an output that could not be written durably, or\n"
-        "     a stdout consumer that closed the pipe early — SIGPIPE is\n"
-        "     ignored and the truncation reported here instead)\n");
-    return kExitUsage;
+// ---- flag tables ------------------------------------------------------
+//
+// Every subcommand declares its flags as one table and hands it to
+// Cli::parse, which walks argv once and renders the same table as the
+// command's --help synopsis, so a flag cannot be accepted without being
+// documented.  Flags and positional arguments may be interleaved.  An
+// unknown `-` argument, a missing or invalid operand, or the wrong
+// number of positional arguments is a one-line diagnostic and exit 2,
+// before any input is opened.  Numeric operands go through host::parse_*
+// (whole-string, overflow-checked), so junk is never a silent 0 and
+// overflow never saturates.
+
+/// Stores a flag's operand (nullptr for a switch); returns "" or the
+/// reason the operand is invalid.
+using Setter = std::function<std::string(const char* operand)>;
+
+struct Flag {
+    const char* name;
+    const char* operand;  ///< help placeholder; nullptr for a switch
+    Setter set;
+    bool required = false;
+};
+
+/// A flag table in synopsis order: single flags and the shared groups
+/// below, concatenated.
+struct Flags {
+    std::vector<Flag> all;
+
+    Flags() = default;
+    Flags(const char* name, const char* operand, Setter set,
+          bool required = false)
+        : all{{name, operand, std::move(set), required}} {}
+    Flags(std::initializer_list<Flags> parts) {
+        for (const Flags& p : parts)
+            all.insert(all.end(), p.all.begin(), p.all.end());
+    }
+};
+
+template <class T, class V>
+Setter set_to(T& dest, V value) {
+    return [&dest, value](const char*) {
+        dest = value;
+        return std::string();
+    };
 }
 
-/// Sniffs the IOCT magic without reading the whole file.
-bool file_is_ioct(const char* path) {
+template <class T>  // std::string or const char*
+Setter text(T& dest) {
+    return [&dest](const char* operand) {
+        dest = operand;
+        return std::string();
+    };
+}
+
+/// A decimal integer in [lo, hi]; `why` replaces the generic reason
+/// for a well-formed value out of that range.
+template <class T>
+Setter uint_in(T& dest, std::uint64_t lo, std::uint64_t hi,
+            const char* why = nullptr) {
+    return [&dest, lo, hi, why](const char* operand) {
+        std::uint64_t v = 0;
+        const bool parsed = host::parse_u64(operand, v);
+        if (parsed && v >= lo && v <= hi) {
+            dest = static_cast<T>(v);
+            return std::string();
+        }
+        if (parsed && why) return std::string(why);
+        return std::string("want a decimal integer in [")
+            .append(std::to_string(lo))
+            .append(", ")
+            .append(std::to_string(hi))
+            .append("]");
+    };
+}
+
+Setter u32(unsigned& dest) { return uint_in(dest, 0, UINT32_MAX); }
+
+template <class T>  // std::uint64_t or std::optional<std::uint64_t>
+Setter u64(T& dest) {
+    return uint_in(dest, 0, UINT64_MAX);
+}
+
+Setter f64(double& dest) {
+    return [&dest](const char* operand) {
+        return host::parse_f64(operand, dest)
+                   ? std::string()
+                   : std::string("want a finite decimal number");
+    };
+}
+
+/// One of the '|'-separated `alternatives`, which double as the help
+/// placeholder.
+Setter choice(std::string& dest, std::string_view alternatives) {
+    return [&dest, alternatives](const char* operand) {
+        for (std::string_view rest = alternatives;;) {
+            const auto bar = rest.find('|');
+            if (rest.substr(0, bar) == operand) {
+                dest = operand;
+                return std::string();
+            }
+            if (bar == std::string_view::npos) break;
+            rest.remove_prefix(bar + 1);
+        }
+        return std::string("want one of ").append(alternatives);
+    };
+}
+
+// ---- shared flag groups -----------------------------------------------
+
+constexpr const char* kSuites = "crashmonkey|xfstests|ltp";
+
+Flags suite_flag(std::string& suite) {
+    return {"--suite", kSuites, choice(suite, kSuites)};
+}
+
+/// 0 = auto (hardware concurrency); 1 = serial.
+Flags threads_flag(unsigned& threads) {
+    return {"--threads", "N", u32(threads)};
+}
+
+/// The trace filter's literal mount point and the syscall registry.
+Flags mount_flags(std::string& mount, bool& extended) {
+    return {{"--mount", "PATH", text(mount)},
+            {"--extended", nullptr, set_to(extended, true)}};
+}
+
+/// Error budget: how many dropped inputs (malformed lines, corrupt
+/// records, lost shards) a run tolerates before failing.  Unset is
+/// unbounded, matching the historical skip-and-continue behavior.
+Flags budget_flags(std::optional<std::uint64_t>& max_errors) {
+    return {{"--strict", nullptr, set_to(max_errors, std::uint64_t{0})},
+            {"--max-errors", "N", u64(max_errors)}};
+}
+
+/// A resumable IOCK manifest every `every` consumed inputs; 0 would
+/// never checkpoint, so it is rejected rather than rounded up.
+Flags checkpoint_flags(std::string& path, std::uint64_t& every,
+                       bool& resume) {
+    return {{"--checkpoint", "FILE", text(path)},
+            {"--checkpoint-every", "N", uint_in(every, 1, UINT64_MAX)},
+            {"--resume", nullptr, set_to(resume, true)}};
+}
+
+/// The daemon endpoint of push and query.
+Flags endpoint_flags(serve::Endpoint& ep, std::uint64_t& timeout_ms) {
+    return {{"--socket", "PATH", text(ep.unix_path)},
+            {"--tcp", "PORT", uint_in(ep.tcp_port, 1, 65535)},
+            {"--timeout-ms", "N", u64(timeout_ms)}};
+}
+
+// ---- the parser -------------------------------------------------------
+
+constexpr std::size_t kMany = SIZE_MAX;
+
+/// A subcommand's command line: its positional arguments (`args` in
+/// the synopsis, between `min_args` and `max_args` of them), its flag
+/// table, and the prose --help prints under the synopsis.
+struct Spec {
+    const char* name = "";
+    const char* args = "";
+    std::size_t min_args = 0;
+    std::size_t max_args = 0;
+    Flags flags;
+    const char* prose = "";
+};
+
+/// Parses one subcommand's arguments against its Spec.  A Cli made by
+/// describe() parses nothing: parse() prints the command's help block
+/// and returns 0, so `iocov --help` reads every table from the commands
+/// themselves.
+class Cli {
+  public:
+    explicit Cli(std::span<char*> argv) : argv_(argv) {}
+
+    static Cli describe(std::FILE* out, bool prose) {
+        Cli cli({});
+        cli.describe_ = out;
+        cli.prose_ = prose;
+        return cli;
+    }
+
+    /// nullopt to run the command; otherwise the exit code to return
+    /// (0 after --help, 2 after a printed usage error).
+    std::optional<int> parse(Spec spec) {
+        spec_ = std::move(spec);
+        if (describe_) {
+            print_help(describe_, prose_);
+            return kExitOk;
+        }
+        std::vector<const Flag*> seen;
+        for (std::size_t i = 0; i < argv_.size(); ++i) {
+            const char* arg = argv_[i];
+            if (arg[0] != '-' || arg[1] == '\0') {
+                args.push_back(arg);
+                continue;
+            }
+            if (std::string_view(arg) == "--help") {
+                std::printf("usage:\n");
+                print_help(stdout, true);
+                return kExitOk;
+            }
+            const auto& all = spec_.flags.all;
+            const auto flag =
+                std::find_if(all.begin(), all.end(), [&](const Flag& f) {
+                    return std::string_view(f.name) == arg;
+                });
+            if (flag == all.end())
+                return fail(
+                    std::string("unknown flag '").append(arg).append("'"));
+            const char* operand = nullptr;
+            if (flag->operand) {
+                if (i + 1 == argv_.size())
+                    return fail(std::string(arg).append(": missing operand"));
+                operand = argv_[++i];
+            }
+            if (const std::string why = flag->set(operand); !why.empty())
+                return fail(std::string(arg)
+                                .append(": invalid value '")
+                                .append(operand)
+                                .append("' (")
+                                .append(why)
+                                .append(")"));
+            seen.push_back(&*flag);
+        }
+        for (const Flag& f : spec_.flags.all)
+            if (f.required &&
+                std::find(seen.begin(), seen.end(), &f) == seen.end())
+                return fail(std::string(f.name)
+                                .append(" ")
+                                .append(f.operand)
+                                .append(" is required"));
+        if (args.size() < spec_.min_args)
+            return fail(std::string("missing ").append(spec_.args));
+        if (args.size() > spec_.max_args)
+            return fail(std::string("unexpected argument '")
+                            .append(args[spec_.max_args])
+                            .append("'"));
+        return std::nullopt;
+    }
+
+    /// Prints "iocov: REASON" and the command's synopsis to stderr;
+    /// returns the usage exit code.
+    int fail(const std::string& reason) const {
+        std::fprintf(stderr, "iocov: %s\nusage:\n", reason.c_str());
+        print_help(stderr, false);
+        return kExitUsage;
+    }
+
+    std::vector<const char*> args;  ///< positional arguments, in order
+
+  private:
+    /// The synopsis, wrapped at 72 columns under the command name, then
+    /// (with `prose`) the command's description.
+    void print_help(std::FILE* out, bool prose) const {
+        std::string line = std::string("  iocov ").append(spec_.name);
+        const std::size_t indent = line.size();
+        auto put = [&](const std::string& item) {
+            if (line.size() + 1 + item.size() > 72) {
+                std::fprintf(out, "%s\n", line.c_str());
+                line.assign(indent, ' ');
+            }
+            line.append(" ").append(item);
+        };
+        for (const Flag& f : spec_.flags.all) {
+            std::string item = f.name;
+            if (f.operand) item.append(" ").append(f.operand);
+            put(f.required ? item
+                           : std::string("[").append(item).append("]"));
+        }
+        if (*spec_.args) put(spec_.args);
+        std::fprintf(out, "%s\n%s", line.c_str(), prose ? spec_.prose : "");
+    }
+
+    std::span<char*> argv_;
+    std::FILE* describe_ = nullptr;
+    bool prose_ = false;
+    Spec spec_;
+};
+
+constexpr const char* kResumeNeedsCheckpoint =
+    "--resume needs --checkpoint FILE";
+constexpr const char* kNoEndpoint = "needs --socket PATH or --tcp PORT";
+
+// ---- shared command tails ---------------------------------------------
+
+/// The first 8 bytes of `path` (fewer for a short file, none for an
+/// unreadable one): enough for the IOCT and IOCS magic checks.
+std::string file_head(const char* path) {
     std::ifstream in(path, std::ios::binary);
     char head[8] = {};
     in.read(head, sizeof head);
-    return in.gcount() > 0 &&
-           trace::is_ioct(std::string_view(
-               head, static_cast<std::size_t>(in.gcount())));
-}
-
-/// Sniffs the IOCS snapshot magic (any version — version skew is
-/// reported as a structured error at load time, not silently treated
-/// as a text trace).
-bool file_is_iocs(const char* path) {
-    std::ifstream in(path, std::ios::binary);
-    char head[8] = {};
-    in.read(head, sizeof head);
-    return in.gcount() >= 5 &&
-           core::iocs_version(std::string_view(
-                                  head,
-                                  static_cast<std::size_t>(in.gcount())))
-               .has_value();
+    return std::string(head, static_cast<std::size_t>(in.gcount()));
 }
 
 std::optional<core::CoverageReport> load(const char* path) {
@@ -294,83 +377,47 @@ bool write_artifact(const char* path, std::string_view data) {
     return true;
 }
 
-// ---- strict numeric flag parsing --------------------------------------
-//
-// Every numeric operand goes through host::parse_* (whole-string,
-// overflow-checked).  The historical strtoul/atof sites silently
-// turned junk into 0 and saturated overflow (`--threads junk` ran
-// serial, `--seed 18446744073709551616` became UINT64_MAX), and a
-// flag left dangling at the end of the line fell through to the
-// positional arguments.  Each helper matches one `--flag VALUE` pair;
-// a bad or missing operand prints a one-line diagnostic and flips
-// `bad`, which the command loops turn into exit 2.
-
-/// Matches `--name` and pulls its operand; nullptr operand (with
-/// `bad` set) when the flag dangles at the end of the line.
-const char* flag_operand(int argc, char** argv, int& i, const char* name,
-                         bool& bad) {
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "iocov: %s: missing operand\n", name);
-        bad = true;
-        return nullptr;
-    }
-    return argv[++i];
-}
-
-bool flag_u64(int argc, char** argv, int& i, const char* name,
-              std::uint64_t& out, bool& bad) {
-    if (std::strcmp(argv[i], name) != 0) return false;
-    if (const char* text = flag_operand(argc, argv, i, name, bad)) {
-        if (!host::parse_u64(text, out)) {
-            std::fprintf(stderr,
-                         "iocov: %s: invalid value '%s' (want a decimal "
-                         "integer in [0, 2^64-1])\n",
-                         name, text);
-            bad = true;
-        }
-    }
+/// Saves `report` in the persistent format `report`/`diff`/`tcd` read,
+/// as an atomic artifact, and announces it as "WHAT saved to PATH".
+bool save_report_artifact(const char* path,
+                          const core::CoverageReport& report,
+                          const char* what) {
+    std::ostringstream out;
+    core::save_report(out, report);
+    if (!write_artifact(path, out.str())) return false;
+    std::printf("\n%s saved to %s\n", what, path);
     return true;
 }
 
-bool flag_u32(int argc, char** argv, int& i, const char* name,
-              unsigned& out, bool& bad) {
-    if (std::strcmp(argv[i], name) != 0) return false;
-    if (const char* text = flag_operand(argc, argv, i, name, bad)) {
-        std::uint32_t v = 0;
-        if (!host::parse_u32(text, v)) {
-            std::fprintf(stderr,
-                         "iocov: %s: invalid value '%s' (want a decimal "
-                         "integer in [0, 2^32-1])\n",
-                         name, text);
-            bad = true;
-        } else {
-            out = v;
-        }
+/// Applies the --max-errors budget to `dropped` inputs: over it, prints
+/// the verdict and every diagnosed drop and returns false; within it,
+/// prints the drops (if any) and returns true.
+bool within_budget(std::uint64_t dropped, const char* verb,
+                   std::optional<std::uint64_t> max_errors,
+                   const trace::ParseDiagnostics& diags) {
+    if (max_errors && dropped > *max_errors) {
+        std::fprintf(stderr,
+                     "iocov: error budget exceeded (%llu %s > "
+                     "--max-errors %llu)\n%s",
+                     static_cast<unsigned long long>(dropped), verb,
+                     static_cast<unsigned long long>(*max_errors),
+                     diags.to_string().c_str());
+        return false;
     }
+    if (dropped > 0) std::fprintf(stderr, "%s", diags.to_string().c_str());
     return true;
 }
 
-bool flag_f64(int argc, char** argv, int& i, const char* name,
-              double& out, bool& bad) {
-    if (std::strcmp(argv[i], name) != 0) return false;
-    if (const char* text = flag_operand(argc, argv, i, name, bad)) {
-        if (!host::parse_f64(text, out)) {
-            std::fprintf(stderr,
-                         "iocov: %s: invalid value '%s' (want a finite "
-                         "decimal number)\n",
-                         name, text);
-            bad = true;
-        }
-    }
-    return true;
-}
-
-bool flag_u64_opt(int argc, char** argv, int& i, const char* name,
-                  std::optional<std::uint64_t>& out, bool& bad) {
-    std::uint64_t v = 0;
-    if (!flag_u64(argc, argv, i, name, v, bad)) return false;
-    if (!bad) out = v;
-    return true;
+/// Connects push/query to the daemon; nullopt after a printed error.
+std::optional<serve::Client> connect_client(const serve::Endpoint& ep,
+                                            std::uint64_t timeout_ms) {
+    host::IoError err;
+    auto client = serve::Client::connect(
+        ep, static_cast<int>(std::min<std::uint64_t>(timeout_ms, 1 << 30)),
+        &err);
+    if (!client)
+        std::fprintf(stderr, "iocov: connect: %s\n", err.to_string().c_str());
+    return client;
 }
 
 /// Expands merge/analyze INPUTs into the deterministic serial walk the
@@ -470,6 +517,8 @@ void print_summary(const core::CoverageReport& report) {
     }
 }
 
+// ---- subcommands ------------------------------------------------------
+
 /// Checkpointed single-directory analyze walk: the directory's files
 /// go through consume_binary_files --checkpoint-every at a time, in
 /// name order — the same per-file shards, diagnostics and fold order
@@ -524,7 +573,7 @@ int analyze_checkpointed(core::IOCov& iocov, const char* dir,
     return kExitOk;
 }
 
-int cmd_analyze(int argc, char** argv) {
+int cmd_analyze(Cli& cli) {
     std::string mount = "/mnt/test";
     bool syz = false;
     bool extended = false;
@@ -532,68 +581,71 @@ int cmd_analyze(int argc, char** argv) {
     unsigned threads = 1;
     const char* save_path = nullptr;
     const char* snapshot_path = nullptr;
-    // Error budget: how many dropped inputs (malformed lines, corrupt
-    // records, lost shards) the run tolerates before failing.  Default
-    // is unbounded, matching the historical skip-and-continue behavior.
     std::optional<std::uint64_t> max_errors;
-    const char* checkpoint_path = nullptr;
+    std::string checkpoint_path;
     std::uint64_t checkpoint_every = 8;
     bool resume = false;
-    std::vector<const char*> traces;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--mount") && i + 1 < argc) {
-            mount = argv[++i];
-        } else if (!std::strcmp(argv[i], "--syz")) {
-            syz = true;
-        } else if (!std::strcmp(argv[i], "--extended")) {
-            extended = true;
-        } else if (flag_u32(argc, argv, i, "--threads", threads, bad)) {
-            // 0 = auto (hardware concurrency); 1 = serial.
-        } else if (!std::strcmp(argv[i], "--stats")) {
-            stats = true;
-        } else if (!std::strcmp(argv[i], "--strict")) {
-            max_errors = 0;
-        } else if (flag_u64_opt(argc, argv, i, "--max-errors", max_errors,
-                                bad)) {
-        } else if (!std::strcmp(argv[i], "--checkpoint") && i + 1 < argc) {
-            checkpoint_path = argv[++i];
-        } else if (flag_u64(argc, argv, i, "--checkpoint-every",
-                            checkpoint_every, bad)) {
-            if (checkpoint_every == 0) checkpoint_every = 1;
-        } else if (!std::strcmp(argv[i], "--resume")) {
-            resume = true;
-        } else if (!std::strcmp(argv[i], "--save") && i + 1 < argc) {
-            save_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--snapshot") && i + 1 < argc) {
-            snapshot_path = argv[++i];
-        } else {
-            traces.push_back(argv[i]);
-        }
-        if (bad) return kExitUsage;
-    }
-    if (traces.empty()) return usage();
-    if (resume && !checkpoint_path) return usage();
+    if (auto rc = cli.parse(
+            {"analyze", "TRACE...", 1, kMany,
+             {mount_flags(mount, extended),
+              {"--syz", nullptr, set_to(syz, true)},
+              threads_flag(threads),
+              budget_flags(max_errors),
+              {"--stats", nullptr, set_to(stats, true)},
+              checkpoint_flags(checkpoint_path, checkpoint_every, resume),
+              {"--save", "FILE", text(save_path)},
+              {"--snapshot", "FILE", text(snapshot_path)}},
+             "      --mount PATH (default /mnt/test) is a literal mount\n"
+             "      point: events on PATH itself and everything under PATH/\n"
+             "      are kept, the rest filtered out.\n"
+             "      TRACE format is autodetected per file: IOCT binary (by\n"
+             "      its \"IOCT\" magic), IOCS coverage snapshot (\"IOCS\"\n"
+             "      magic — merged directly, no re-ingest; a version this\n"
+             "      build cannot read is a structured error), or LTTng-style\n"
+             "      text (--syz: syzkaller programs).  A TRACE that is a\n"
+             "      directory analyzes every IOCT file in it (sorted by name;\n"
+             "      non-IOCT entries are diagnosed and skipped), with files\n"
+             "      scheduled onto --threads N work-stealing workers.  Each\n"
+             "      TRACE, and each file of a directory, is analyzed with its\n"
+             "      own fd/cwd filter state: an fd opened in one file is not\n"
+             "      watched in the next.  Malformed input is skipped and\n"
+             "      diagnosed; --max-errors N fails the run when more than N\n"
+             "      inputs were dropped, --strict is --max-errors 0.  --stats\n"
+             "      prints ingest throughput and steady-state allocation\n"
+             "      counters.  --snapshot writes the final state as a compact\n"
+             "      binary .iocs snapshot for `iocov merge` /\n"
+             "      `iocov trend`.\n"}))
+        return *rc;
+    if (resume && checkpoint_path.empty())
+        return cli.fail(kResumeNeedsCheckpoint);
+    std::vector<const char*> traces = cli.args;
 
     core::IOCov iocov(trace::FilterConfig::mount_point(mount),
                       extended ? core::extended_syscall_registry()
                                : core::syscall_registry());
-    if (checkpoint_path) {
+    if (!checkpoint_path.empty()) {
         // Checkpointed mode only defines resume semantics for one
         // directory of IOCT traces (the fleet drop-box shape).
         std::error_code dir_ec;
         if (syz || traces.size() != 1 ||
             !std::filesystem::is_directory(traces[0], dir_ec) || dir_ec)
-            return usage();
+            return cli.fail("--checkpoint takes one TRACE directory and "
+                            "no --syz");
         const int rc = analyze_checkpointed(iocov, traces[0], threads,
-                                            checkpoint_path,
+                                            checkpoint_path.c_str(),
                                             checkpoint_every, resume);
         if (rc != kExitOk) return rc;
         traces.clear();
     }
     for (const char* path : traces) {
         std::error_code dir_ec;
-        if (!syz && std::filesystem::is_directory(path, dir_ec)) {
+        if (std::filesystem::is_directory(path, dir_ec)) {
+            if (syz) {
+                std::fprintf(stderr, "iocov: %s: is a directory (--syz "
+                                     "reads one program file)\n",
+                             path);
+                return kExitIo;
+            }
             // Directory of IOCT traces: work-stealing multi-file
             // ingestion, bit-identical to analyzing the files one by
             // one in name order (each file gets its own filter state).
@@ -608,7 +660,10 @@ int cmd_analyze(int argc, char** argv) {
                         path, dir->files, dir->rejected, dir->dropped);
             continue;
         }
-        if (!syz && file_is_iocs(path)) {
+        // Any IOCS version counts as a snapshot: version skew is a
+        // structured load error, not a reason to read it as text.
+        const std::string head = syz ? std::string() : file_head(path);
+        if (core::iocs_version(head)) {
             // IOCS coverage snapshot: the analyzer state itself — merge
             // it directly, no event re-ingest.
             core::SnapshotError err;
@@ -625,7 +680,7 @@ int cmd_analyze(int argc, char** argv) {
                             snap->report.events_seen));
             continue;
         }
-        if (!syz && file_is_ioct(path)) {
+        if (trace::is_ioct(head)) {
             // IOCT binary trace: mmap'd zero-copy ingestion.
             const auto dropped = iocov.consume_binary_file(path, threads);
             if (!dropped) {
@@ -653,17 +708,8 @@ int cmd_analyze(int argc, char** argv) {
         }
     }
     const trace::ParseDiagnostics& diags = iocov.diagnostics();
-    if (max_errors && diags.total() > *max_errors) {
-        std::fprintf(stderr,
-                     "iocov: error budget exceeded (%llu dropped > "
-                     "--max-errors %llu)\n%s",
-                     static_cast<unsigned long long>(diags.total()),
-                     static_cast<unsigned long long>(*max_errors),
-                     diags.to_string().c_str());
+    if (!within_budget(diags.total(), "dropped", max_errors, diags))
         return kExitFindings;
-    }
-    if (diags.total() > 0)
-        std::fprintf(stderr, "%s", diags.to_string().c_str());
     std::printf("\n");
     print_summary(iocov.report());
     if (stats) {
@@ -689,12 +735,9 @@ int cmd_analyze(int argc, char** argv) {
                         "in this build)\n");
         }
     }
-    if (save_path) {
-        std::ostringstream out;
-        core::save_report(out, iocov.report());
-        if (!write_artifact(save_path, out.str())) return kExitIo;
-        std::printf("\nreport saved to %s\n", save_path);
-    }
+    if (save_path &&
+        !save_report_artifact(save_path, iocov.report(), "report"))
+        return kExitIo;
     if (snapshot_path) {
         core::SnapshotError err;
         if (!core::save_snapshot_file(snapshot_path, iocov.snapshot(),
@@ -799,17 +842,8 @@ int merge_checkpointed(const std::vector<const char*>& inputs,
             if (!save_cp()) return kExitIo;
         }
     }
-    if (max_errors && cp.rejected > *max_errors) {
-        std::fprintf(stderr,
-                     "iocov: error budget exceeded (%llu rejected > "
-                     "--max-errors %llu)\n%s",
-                     static_cast<unsigned long long>(cp.rejected),
-                     static_cast<unsigned long long>(*max_errors),
-                     cp.diags.to_string().c_str());
+    if (!within_budget(cp.rejected, "rejected", max_errors, cp.diags))
         return kExitFindings;
-    }
-    if (cp.rejected > 0)
-        std::fprintf(stderr, "%s", cp.diags.to_string().c_str());
 
     const auto count = static_cast<std::size_t>(fold.leaves());
     const int rc = finish_merge(fold.finish(), count,
@@ -824,60 +858,48 @@ int merge_checkpointed(const std::vector<const char*>& inputs,
     return rc;
 }
 
-int cmd_merge(int argc, char** argv) {
+int cmd_merge(Cli& cli) {
     unsigned threads = 0;  // auto
     std::optional<std::uint64_t> max_errors;
     const char* out_path = nullptr;
     const char* json_path = nullptr;
     const char* label = nullptr;
-    const char* checkpoint_path = nullptr;
+    std::string checkpoint_path;
     std::uint64_t checkpoint_every = 8;
     bool resume = false;
     std::optional<std::uint64_t> timestamp;
-    std::vector<const char*> inputs;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (flag_u32(argc, argv, i, "--threads", threads, bad)) {
-        } else if (!std::strcmp(argv[i], "--strict"))
-            max_errors = 0;
-        else if (flag_u64_opt(argc, argv, i, "--max-errors", max_errors,
-                              bad)) {
-        } else if (!std::strcmp(argv[i], "--label") && i + 1 < argc)
-            label = argv[++i];
-        else if (flag_u64_opt(argc, argv, i, "--timestamp", timestamp,
-                              bad)) {
-            if (timestamp && *timestamp == 0) {
-                // 0 is the "unset" sentinel inside a snapshot: `trend`
-                // would silently drop the snapshot from every time
-                // window.  Stamping it explicitly is always a mistake.
-                std::fprintf(stderr,
-                             "iocov: --timestamp: 0 means 'no capture "
-                             "time' and would exclude the snapshot from "
-                             "every trend window; use a real Unix "
-                             "timestamp\n");
-                bad = true;
-            }
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--checkpoint") && i + 1 < argc)
-            checkpoint_path = argv[++i];
-        else if (flag_u64(argc, argv, i, "--checkpoint-every",
-                          checkpoint_every, bad)) {
-            if (checkpoint_every == 0) checkpoint_every = 1;
-        } else if (!std::strcmp(argv[i], "--resume"))
-            resume = true;
-        else if (!std::strcmp(argv[i], "-o") && i + 1 < argc)
-            out_path = argv[++i];
-        else
-            inputs.push_back(argv[i]);
-        if (bad) return kExitUsage;
-    }
-    if (!out_path || inputs.empty()) return usage();
-    if (resume && !checkpoint_path) return usage();
-    if (checkpoint_path)
+    if (auto rc = cli.parse(
+            {"merge", "INPUT...", 1, kMany,
+             {threads_flag(threads),
+              budget_flags(max_errors),
+              {"--label", "L", text(label)},
+              // 0 is the "unset" sentinel inside a snapshot: `trend`
+              // would silently drop the snapshot from every time window.
+              {"--timestamp", "T",
+               uint_in(timestamp, 1, UINT64_MAX,
+                    "0 means 'no capture time' and would exclude the "
+                    "snapshot from every trend window; use a real Unix "
+                    "timestamp")},
+              {"--json", "FILE", text(json_path)},
+              checkpoint_flags(checkpoint_path, checkpoint_every, resume),
+              {"-o", "OUT.iocs", text(out_path), true}},
+             "      fleet aggregation: load every .iocs snapshot from the\n"
+             "      INPUTs (directories are scanned non-recursively, sorted\n"
+             "      by name), merge them on a deterministic pairwise tree\n"
+             "      (--threads N work-stealing workers; byte-identical output\n"
+             "      at any thread count), and write the merged snapshot to\n"
+             "      OUT.iocs.  Unreadable/foreign/version-skewed entries are\n"
+             "      diagnosed per file and counted against --max-errors.\n"
+             "      --json writes a deterministic per-space summary.\n"}))
+        return *rc;
+    if (resume && checkpoint_path.empty())
+        return cli.fail(kResumeNeedsCheckpoint);
+    const std::vector<const char*>& inputs = cli.args;
+    if (!checkpoint_path.empty())
         return merge_checkpointed(inputs, out_path, json_path, label,
-                                  timestamp, max_errors, checkpoint_path,
-                                  checkpoint_every, resume);
+                                  timestamp, max_errors,
+                                  checkpoint_path.c_str(), checkpoint_every,
+                                  resume);
 
     // Collect snapshots in argument order; each directory contributes
     // its name-sorted contents, so the full sequence — and with it the
@@ -912,17 +934,8 @@ int cmd_merge(int argc, char** argv) {
                              std::string(input) + ": " + err.to_string());
         }
     }
-    if (max_errors && all.rejected > *max_errors) {
-        std::fprintf(stderr,
-                     "iocov: error budget exceeded (%zu rejected > "
-                     "--max-errors %llu)\n%s",
-                     all.rejected,
-                     static_cast<unsigned long long>(*max_errors),
-                     all.diags.to_string().c_str());
+    if (!within_budget(all.rejected, "rejected", max_errors, all.diags))
         return kExitFindings;
-    }
-    if (all.rejected > 0)
-        std::fprintf(stderr, "%s", all.diags.to_string().c_str());
 
     const std::size_t count = all.snapshots.size();
     auto merged = core::merge_snapshots(std::move(all.snapshots), threads);
@@ -930,36 +943,29 @@ int cmd_merge(int argc, char** argv) {
                         out_path, json_path, label, timestamp);
 }
 
-int cmd_trend(int argc, char** argv) {
+int cmd_trend(Cli& cli) {
     report::TrendOptions opts;
     unsigned threads = 0;  // auto
     const char* json_path = nullptr;
-    const char* dir = nullptr;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (flag_u64(argc, argv, i, "--window", opts.window_seconds,
-                     bad)) {
-            if (!bad && opts.window_seconds == 0) {
-                // A zero-second window is degenerate — every snapshot
-                // would land in its own empty-width slice.  Omitting
-                // --window already gives the "one all-time slice" view.
-                std::fprintf(stderr,
-                             "iocov: --window: a 0-second window is "
-                             "degenerate; omit --window for a single "
-                             "all-time slice\n");
-                bad = true;
-            }
-        } else if (!std::strcmp(argv[i], "--by-label"))
-            opts.by_label = true;
-        else if (flag_f64(argc, argv, i, "--target", opts.target, bad)) {
-        } else if (flag_u32(argc, argv, i, "--threads", threads, bad)) {
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-        else
-            dir = argv[i];
-        if (bad) return kExitUsage;
-    }
-    if (!dir) return usage();
+    // A zero-second window would put every snapshot in its own
+    // empty-width slice; omitting --window already gives one slice.
+    if (auto rc = cli.parse(
+            {"trend", "DIR", 1, 1,
+             {{"--window", "SECS",
+               uint_in(opts.window_seconds, 1, UINT64_MAX,
+                    "a 0-second window is degenerate; omit --window for "
+                    "a single all-time slice")},
+              {"--by-label", nullptr, set_to(opts.by_label, true)},
+              {"--target", "N", f64(opts.target)},
+              threads_flag(threads),
+              {"--json", "FILE", text(json_path)}},
+             "      coverage movement over a snapshot directory: slice the\n"
+             "      snapshots by capture-time window (--window) or by label\n"
+             "      (--by-label), merge each slice, and emit per-slice TCD\n"
+             "      and gap counts as deterministic JSON (stdout, or\n"
+             "      --json FILE).\n"}))
+        return *rc;
+    const char* dir = cli.args[0];
     auto load = core::load_snapshot_dir(dir, threads);
     if (!load) {
         std::fprintf(stderr, "iocov: cannot open directory %s\n", dir);
@@ -979,53 +985,42 @@ int cmd_trend(int argc, char** argv) {
     return kExitOk;
 }
 
-int cmd_serve(int argc, char** argv) {
+int cmd_serve(Cli& cli) {
     serve::ServeOptions opts;
     std::string mount = "/mnt/test";
     bool extended = false;
-    bool have_tcp = false;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        std::uint64_t port = 0;
-        if (!std::strcmp(argv[i], "--socket") && i + 1 < argc) {
-            opts.unix_path = argv[++i];
-        } else if (flag_u64(argc, argv, i, "--tcp", port, bad)) {
-            if (!bad && port > 65535) {
-                std::fprintf(stderr,
-                             "iocov: --tcp: port %llu out of range "
-                             "(0..65535; 0 = ephemeral)\n",
-                             static_cast<unsigned long long>(port));
-                bad = true;
-            } else if (!bad) {
-                opts.tcp_port = static_cast<int>(port);
-                have_tcp = true;
-            }
-        } else if (!std::strcmp(argv[i], "--mount") && i + 1 < argc) {
-            mount = argv[++i];
-        } else if (!std::strcmp(argv[i], "--extended")) {
-            extended = true;
-        } else if (flag_u32(argc, argv, i, "--threads", opts.threads,
-                            bad)) {
-        } else if (!std::strcmp(argv[i], "--delta-dir") && i + 1 < argc) {
-            opts.delta_dir = argv[++i];
-        } else if (flag_u64(argc, argv, i, "--delta-every",
-                            opts.delta_every, bad)) {
-        } else if (!std::strcmp(argv[i], "--label") && i + 1 < argc) {
-            opts.delta_label = argv[++i];
-        } else if (!std::strcmp(argv[i], "--checkpoint") && i + 1 < argc) {
-            opts.checkpoint_path = argv[++i];
-        } else if (flag_u64(argc, argv, i, "--checkpoint-every",
-                            opts.checkpoint_every, bad)) {
-            if (opts.checkpoint_every == 0) opts.checkpoint_every = 1;
-        } else if (!std::strcmp(argv[i], "--resume")) {
-            opts.resume = true;
-        } else {
-            return usage();
-        }
-        if (bad) return kExitUsage;
-    }
-    if (opts.unix_path.empty() && !have_tcp) return usage();
-    if (opts.resume && opts.checkpoint_path.empty()) return usage();
+    if (auto rc = cli.parse(
+            {"serve", "", 0, 0,
+             {{"--socket", "PATH", text(opts.unix_path)},
+              {"--tcp", "PORT", uint_in(opts.tcp_port, 0, 65535)},
+              mount_flags(mount, extended),
+              threads_flag(opts.threads),
+              {"--delta-dir", "DIR", text(opts.delta_dir)},
+              {"--delta-every", "N", u64(opts.delta_every)},
+              {"--label", "L", text(opts.delta_label)},
+              checkpoint_flags(opts.checkpoint_path, opts.checkpoint_every,
+                               opts.resume)},
+             "      live coverage daemon: a single epoll event loop accepts\n"
+             "      framed IOCT shards from many concurrent producers on a\n"
+             "      Unix-domain socket (--socket) and/or 127.0.0.1 TCP port\n"
+             "      (--tcp; 0 binds an ephemeral port, printed at startup)\n"
+             "      and answers queries *while ingesting*.  Each shard is\n"
+             "      analyzed in isolation and merged, so after any pushes\n"
+             "      `iocov query report` is byte-identical to `iocov analyze\n"
+             "      DIR/` over the same files; shard names deduplicate, so\n"
+             "      re-pushing after a crash + --resume converges to the\n"
+             "      uninterrupted result.  --delta-dir emits durable IOCS\n"
+             "      delta snapshots every --delta-every pushes (and at\n"
+             "      shutdown; merging all deltas of a run reproduces the\n"
+             "      full state); --checkpoint writes a resumable IOCK\n"
+             "      manifest (mode serve) every --checkpoint-every pushes.\n"
+             "      SIGTERM/SIGINT/`iocov query stop` shut down gracefully\n"
+             "      (final delta + checkpoint).\n"}))
+        return *rc;
+    if (opts.unix_path.empty() && opts.tcp_port < 0)
+        return cli.fail(kNoEndpoint);
+    if (opts.resume && opts.checkpoint_path.empty())
+        return cli.fail(kResumeNeedsCheckpoint);
     opts.install_signal_handlers = true;
 
     core::LiveCoverage live(trace::FilterConfig::mount_point(mount),
@@ -1071,56 +1066,21 @@ int cmd_serve(int argc, char** argv) {
     return kExitOk;
 }
 
-/// Shared --socket/--tcp/--timeout-ms parsing for push/query; returns
-/// false on a diagnosed bad flag.
-bool client_flag(int argc, char** argv, int& i, serve::Endpoint& ep,
-                 std::uint64_t& timeout_ms, bool& matched, bool& bad) {
-    matched = true;
-    std::uint64_t port = 0;
-    if (!std::strcmp(argv[i], "--socket") && i + 1 < argc) {
-        ep.unix_path = argv[++i];
-    } else if (flag_u64(argc, argv, i, "--tcp", port, bad)) {
-        if (!bad && (port == 0 || port > 65535)) {
-            std::fprintf(stderr,
-                         "iocov: --tcp: port %llu out of range "
-                         "(1..65535)\n",
-                         static_cast<unsigned long long>(port));
-            bad = true;
-        } else if (!bad) {
-            ep.tcp_port = static_cast<int>(port);
-        }
-    } else if (flag_u64(argc, argv, i, "--timeout-ms", timeout_ms, bad)) {
-    } else {
-        matched = false;
-    }
-    return !bad;
-}
-
-int cmd_push(int argc, char** argv) {
+int cmd_push(Cli& cli) {
     serve::Endpoint ep;
     std::uint64_t timeout_ms = 5000;
-    std::vector<const char*> files;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        bool matched = false;
-        if (!client_flag(argc, argv, i, ep, timeout_ms, matched, bad))
-            return kExitUsage;
-        if (!matched) files.push_back(argv[i]);
-    }
-    if (files.empty()) return usage();
-    if (ep.unix_path.empty() && ep.tcp_port < 0) return usage();
+    if (auto rc = cli.parse(
+            {"push", "FILE...", 1, kMany, endpoint_flags(ep, timeout_ms),
+             "      stream IOCT trace files to a serve daemon over one\n"
+             "      connection, one acknowledged push per file (the shard\n"
+             "      name is the file's basename — the daemon's dedup key).\n"}))
+        return *rc;
+    if (ep.unix_path.empty() && ep.tcp_port < 0) return cli.fail(kNoEndpoint);
 
-    host::IoError err;
-    auto client = serve::Client::connect(
-        ep, static_cast<int>(std::min<std::uint64_t>(timeout_ms, 1 << 30)),
-        &err);
-    if (!client) {
-        std::fprintf(stderr, "iocov: connect: %s\n",
-                     err.to_string().c_str());
-        return kExitIo;
-    }
+    auto client = connect_client(ep, timeout_ms);
+    if (!client) return kExitIo;
     int rc = kExitOk;
-    for (const char* path : files) {
+    for (const char* path : cli.args) {
         std::ifstream in(path, std::ios::binary);
         if (!in) {
             std::fprintf(stderr, "iocov: cannot open %s\n", path);
@@ -1133,6 +1093,7 @@ int cmd_push(int argc, char** argv) {
         // `analyze DIR/` walk would use, and the daemon's dedup key.
         const std::string name =
             std::filesystem::path(path).filename().string();
+        host::IoError err;
         const auto reply = client->push(name, shard, &err);
         if (!reply) {
             std::fprintf(stderr, "iocov: push %s: %s\n", path,
@@ -1151,55 +1112,45 @@ int cmd_push(int argc, char** argv) {
     return rc;
 }
 
-int cmd_query(int argc, char** argv) {
+int cmd_query(Cli& cli) {
     serve::Endpoint ep;
     std::uint64_t timeout_ms = 5000;
     double target = 1000;
     std::string arg = "open.flags";
     const char* save_path = nullptr;
-    const char* what = nullptr;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        bool matched = false;
-        if (!client_flag(argc, argv, i, ep, timeout_ms, matched, bad))
-            return kExitUsage;
-        if (matched) continue;
-        if (flag_f64(argc, argv, i, "--target", target, bad)) {
-        } else if (!std::strcmp(argv[i], "--arg") && i + 1 < argc)
-            arg = argv[++i];
-        else if (!std::strcmp(argv[i], "--save") && i + 1 < argc)
-            save_path = argv[++i];
-        else if (what)
-            return usage();
-        else
-            what = argv[i];
-        if (bad) return kExitUsage;
-    }
-    if (!what) return usage();
-    if (ep.unix_path.empty() && ep.tcp_port < 0) return usage();
-
+    if (auto rc = cli.parse(
+            {"query", "report|gaps|tcd|status|ping|stop", 1, 1,
+             {endpoint_flags(ep, timeout_ms),
+              {"--target", "N", f64(target)},
+              {"--arg", "BASE.KEY", text(arg)},
+              {"--save", "FILE", text(save_path)}},
+             "      query a serve daemon: `report` returns the saved-report\n"
+             "      text (with --save, byte-identical to `analyze --save`\n"
+             "      over the pushed shards), `gaps` the untested partitions,\n"
+             "      `tcd` the coverage deviation for --arg/--target,\n"
+             "      `status` daemon counters, `stop` a graceful shutdown.\n"
+             "      Every answer is one epoch-tagged consistent state — an\n"
+             "      exact prefix of the accepted pushes, never a torn\n"
+             "      histogram, even mid-ingest.\n"}))
+        return *rc;
+    const std::string what = cli.args[0];
     std::string q;
-    if (!std::strcmp(what, "report") || !std::strcmp(what, "gaps") ||
-        !std::strcmp(what, "status") || !std::strcmp(what, "ping") ||
-        !std::strcmp(what, "stop")) {
+    if (what == "report" || what == "gaps" || what == "status" ||
+        what == "ping" || what == "stop") {
         q = what;
-    } else if (!std::strcmp(what, "tcd")) {
+    } else if (what == "tcd") {
         char spec[256];
         std::snprintf(spec, sizeof spec, "tcd %s %g", arg.c_str(), target);
         q = spec;
     } else {
-        return usage();
+        return cli.fail(std::string("unknown query '").append(what).append(
+            "'"));
     }
+    if (ep.unix_path.empty() && ep.tcp_port < 0) return cli.fail(kNoEndpoint);
 
+    auto client = connect_client(ep, timeout_ms);
+    if (!client) return kExitIo;
     host::IoError err;
-    auto client = serve::Client::connect(
-        ep, static_cast<int>(std::min<std::uint64_t>(timeout_ms, 1 << 30)),
-        &err);
-    if (!client) {
-        std::fprintf(stderr, "iocov: connect: %s\n",
-                     err.to_string().c_str());
-        return kExitIo;
-    }
     const auto reply = q == "stop" ? client->stop(&err)
                                    : client->query(q, &err);
     if (!reply) {
@@ -1215,7 +1166,7 @@ int cmd_query(int argc, char** argv) {
         // --save F` would for the same shards — the byte-identity the
         // gates compare.
         if (!write_artifact(save_path, reply->text)) return kExitIo;
-        std::printf("%s saved to %s [epoch %llu]\n", what, save_path,
+        std::printf("%s saved to %s [epoch %llu]\n", what.c_str(), save_path,
                     static_cast<unsigned long long>(reply->epoch));
     } else {
         std::fputs(reply->text.c_str(), stdout);
@@ -1225,12 +1176,16 @@ int cmd_query(int argc, char** argv) {
     return kExitOk;
 }
 
-int cmd_convert(int argc, char** argv) {
-    if (argc != 2) return usage();
-    const char* in_path = argv[0];
-    const char* out_path = argv[1];
+int cmd_convert(Cli& cli) {
+    if (auto rc = cli.parse(
+            {"convert", "IN OUT", 2, 2, {},
+             "      transcode text -> IOCT binary or IOCT binary -> text\n"
+             "      (direction inferred from IN's magic)\n"}))
+        return *rc;
+    const char* in_path = cli.args[0];
+    const char* out_path = cli.args[1];
 
-    if (file_is_ioct(in_path)) {
+    if (trace::is_ioct(file_head(in_path))) {
         // IOCT binary -> text.
         host::IoError ioerr;
         auto mapped = trace::MappedFile::open(
@@ -1274,19 +1229,18 @@ int cmd_convert(int argc, char** argv) {
     return kExitOk;
 }
 
-int cmd_report(int argc, char** argv) {
+int cmd_report(Cli& cli) {
     bool untested = false;
     std::uint64_t under = 0;
-    const char* path = nullptr;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--untested")) untested = true;
-        else if (flag_u64(argc, argv, i, "--under", under, bad)) {
-        } else path = argv[i];
-        if (bad) return kExitUsage;
-    }
-    if (!path) return usage();
-    auto report = load(path);
+    if (auto rc = cli.parse(
+            {"report", "FILE", 1, 1,
+             {{"--untested", nullptr, set_to(untested, true)},
+              {"--under", "N", u64(under)}},
+             "      print a saved report's coverage summary; --untested\n"
+             "      lists its untested partitions with a suggested input,\n"
+             "      --under N the partitions tested fewer than N times.\n"}))
+        return *rc;
+    auto report = load(cli.args[0]);
     if (!report) return kExitIo;
 
     if (untested) {
@@ -1309,10 +1263,14 @@ int cmd_report(int argc, char** argv) {
     return 0;
 }
 
-int cmd_diff(int argc, char** argv) {
-    if (argc != 2) return usage();
-    auto before = load(argv[0]);
-    auto after = load(argv[1]);
+int cmd_diff(Cli& cli) {
+    if (auto rc = cli.parse(
+            {"diff", "BEFORE AFTER", 2, 2, {},
+             "      per-partition deltas between two saved reports; exits 1\n"
+             "      when coverage regressed.\n"}))
+        return *rc;
+    auto before = load(cli.args[0]);
+    auto after = load(cli.args[1]);
     if (!before || !after) return kExitIo;
     const auto deltas = core::diff_reports(*before, *after);
     for (const auto& d : deltas)
@@ -1331,23 +1289,23 @@ int cmd_diff(int argc, char** argv) {
     return regressed ? kExitFindings : kExitOk;
 }
 
-int cmd_tcd(int argc, char** argv) {
+int cmd_tcd(Cli& cli) {
     double target = 1000;
     std::string arg = "open.flags";
-    const char* path = nullptr;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (flag_f64(argc, argv, i, "--target", target, bad)) {
-        } else if (!std::strcmp(argv[i], "--arg") && i + 1 < argc)
-            arg = argv[++i];
-        else path = argv[i];
-        if (bad) return kExitUsage;
-    }
-    if (!path) return usage();
-    auto report = load(path);
-    if (!report) return kExitIo;
+    if (auto rc = cli.parse(
+            {"tcd", "FILE", 1, 1,
+             {{"--target", "N", f64(target)},
+              {"--arg", "BASE.KEY", text(arg)}},
+             "      test coverage deviation of one input space of a saved\n"
+             "      report from a uniform --target per partition.\n"}))
+        return *rc;
     const auto dot = arg.find('.');
-    if (dot == std::string::npos) return usage();
+    if (dot == std::string::npos)
+        return cli.fail(std::string("--arg: invalid value '")
+                            .append(arg)
+                            .append("' (want BASE.KEY)"));
+    auto report = load(cli.args[0]);
+    if (!report) return kExitIo;
     const auto* in = report->find_input(arg.substr(0, dot),
                                         arg.substr(dot + 1));
     if (!in) {
@@ -1359,17 +1317,15 @@ int cmd_tcd(int argc, char** argv) {
     return 0;
 }
 
-int cmd_demo(int argc, char** argv) {
+int cmd_demo(Cli& cli) {
     std::string suite = "xfstests";
     double scale = 0.01;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--suite") && i + 1 < argc)
-            suite = argv[++i];
-        else if (flag_f64(argc, argv, i, "--scale", scale, bad)) {
-        }
-        if (bad) return kExitUsage;
-    }
+    if (auto rc = cli.parse(
+            {"demo", "", 0, 0,
+             {suite_flag(suite), {"--scale", "S", f64(scale)}},
+             "      run one built-in suite simulator end to end and print\n"
+             "      its coverage summary (no captured traces needed).\n"}))
+        return *rc;
     vfs::FileSystem fs(testers::recommended_fs_config());
     auto fx = testers::prepare_environment(fs, "/mnt/test");
     core::IOCov iocov;
@@ -1385,86 +1341,63 @@ int cmd_demo(int argc, char** argv) {
     return 0;
 }
 
-int cmd_campaign(int argc, char** argv) {
+int cmd_campaign(Cli& cli) {
     testers::CampaignConfig cfg;
     const char* save_path = nullptr;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--suite") && i + 1 < argc)
-            cfg.suite = argv[++i];
-        else if (flag_f64(argc, argv, i, "--scale", cfg.scale, bad)) {
-        } else if (flag_u64(argc, argv, i, "--seed", cfg.seed, bad)) {
-        } else if (flag_u32(argc, argv, i, "--samples",
-                            cfg.occurrences_per_point, bad)) {
-        } else if (flag_u64(argc, argv, i, "--runs", cfg.max_runs, bad)) {
-        } else if (flag_u32(argc, argv, i, "--chaos", cfg.chaos_runs,
-                            bad)) {
-        } else if (flag_u32(argc, argv, i, "--permille",
-                            cfg.chaos_permille, bad)) {
-        } else if (!std::strcmp(argv[i], "--mount") && i + 1 < argc)
-            cfg.mount = argv[++i];
-        else if (!std::strcmp(argv[i], "--extended"))
-            cfg.extended_registry = true;
-        else if (!std::strcmp(argv[i], "--save") && i + 1 < argc)
-            save_path = argv[++i];
-        else
-            return usage();
-        if (bad) return kExitUsage;
-    }
-    if (cfg.suite != "crashmonkey" && cfg.suite != "xfstests" &&
-        cfg.suite != "ltp") {
-        std::fprintf(stderr, "iocov: unknown suite %s\n", cfg.suite.c_str());
-        return 2;
-    }
+    if (auto rc = cli.parse(
+            {"campaign", "", 0, 0,
+             {suite_flag(cfg.suite),
+              {"--scale", "S", f64(cfg.scale)},
+              {"--seed", "N", u64(cfg.seed)},
+              {"--samples", "N", u32(cfg.occurrences_per_point)},
+              {"--runs", "N", u64(cfg.max_runs)},
+              {"--chaos", "N", u32(cfg.chaos_runs)},
+              {"--permille", "N", u32(cfg.chaos_permille)},
+              mount_flags(cfg.mount, cfg.extended_registry),
+              {"--save", "FILE", text(save_path)}},
+             "      replay the suite once fault-free, then once per (op,\n"
+             "      errno, k-th occurrence) fault point (EIO/ENOMEM/EINTR/\n"
+             "      ENOSPC), fsck'ing the file system and checking errno\n"
+             "      surfacing after every run; --runs bounds the sweep,\n"
+             "      --chaos adds seeded probabilistic runs.  Exits 1 on any\n"
+             "      fsck or faithfulness violation.\n"}))
+        return *rc;
     const auto result = testers::run_campaign(cfg);
     std::printf("suite: %s at scale %g, seed %llu\n\n", cfg.suite.c_str(),
                 cfg.scale,
                 static_cast<unsigned long long>(cfg.seed));
     std::printf("%s\n", result.summary().c_str());
     print_summary(result.aggregate);
-    if (save_path) {
-        std::ostringstream out;
-        core::save_report(out, result.aggregate);
-        if (!write_artifact(save_path, out.str())) return kExitIo;
-        std::printf("\naggregate report saved to %s\n", save_path);
-    }
+    if (save_path && !save_report_artifact(save_path, result.aggregate,
+                                           "aggregate report"))
+        return kExitIo;
     return result.clean() ? kExitOk : kExitFindings;
 }
 
-int cmd_guide(int argc, char** argv) {
+int cmd_guide(Cli& cli) {
     testers::guided::GuideConfig cfg;
     const char* baseline_path = nullptr;
     const char* save_path = nullptr;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--suite") && i + 1 < argc)
-            cfg.suite = argv[++i];
-        else if (flag_f64(argc, argv, i, "--scale", cfg.scale, bad)) {
-        } else if (flag_u64(argc, argv, i, "--seed", cfg.seed, bad)) {
-        } else if (flag_u32(argc, argv, i, "--rounds", cfg.max_rounds,
-                            bad)) {
-        } else if (flag_u64(argc, argv, i, "--budget", cfg.call_budget,
-                            bad)) {
-        } else if (flag_u64(argc, argv, i, "--per-gap", cfg.calls_per_gap,
-                            bad)) {
-        } else if (flag_f64(argc, argv, i, "--target", cfg.target, bad)) {
-        } else if (!std::strcmp(argv[i], "--mount") && i + 1 < argc)
-            cfg.mount = argv[++i];
-        else if (!std::strcmp(argv[i], "--extended"))
-            cfg.extended_registry = true;
-        else if (!std::strcmp(argv[i], "--baseline") && i + 1 < argc)
-            baseline_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--save") && i + 1 < argc)
-            save_path = argv[++i];
-        else
-            return usage();
-        if (bad) return kExitUsage;
-    }
-    if (cfg.suite != "crashmonkey" && cfg.suite != "xfstests" &&
-        cfg.suite != "ltp") {
-        std::fprintf(stderr, "iocov: unknown suite %s\n", cfg.suite.c_str());
-        return 2;
-    }
+    if (auto rc = cli.parse(
+            {"guide", "", 0, 0,
+             {suite_flag(cfg.suite),
+              {"--scale", "S", f64(cfg.scale)},
+              {"--seed", "N", u64(cfg.seed)},
+              {"--rounds", "N", u32(cfg.max_rounds)},
+              {"--budget", "N", u64(cfg.call_budget)},
+              {"--per-gap", "N", u64(cfg.calls_per_gap)},
+              {"--target", "N", f64(cfg.target)},
+              mount_flags(cfg.mount, cfg.extended_registry),
+              {"--baseline", "FILE", text(baseline_path)},
+              {"--save", "FILE", text(save_path)}},
+             "      close the coverage loop: measure the baseline's untested\n"
+             "      partitions (TCD-ranked), synthesize syscalls + fault\n"
+             "      injections aimed at each gap, re-measure, and iterate\n"
+             "      until the TCD plateaus or the call budget runs out.\n"
+             "      --baseline guides from a saved report instead of\n"
+             "      replaying a suite; --save writes the merged final report.\n"
+             "      Prints a before/after table per coverage space.\n"}))
+        return *rc;
     testers::guided::GuideResult result;
     if (baseline_path) {
         auto baseline = load(baseline_path);
@@ -1475,55 +1408,44 @@ int cmd_guide(int argc, char** argv) {
     }
     std::printf("%s\n", result.summary().c_str());
     std::printf("%s", result.table().c_str());
-    if (save_path) {
-        std::ostringstream out;
-        core::save_report(out, result.final_report);
-        if (!write_artifact(save_path, out.str())) return kExitIo;
-        std::printf("\nmerged report saved to %s\n", save_path);
-    }
+    if (save_path && !save_report_artifact(save_path, result.final_report,
+                                           "merged report"))
+        return kExitIo;
     return kExitOk;
 }
 
-int cmd_crashtest(int argc, char** argv) {
+int cmd_crashtest(Cli& cli) {
     testers::crash::CrashTestConfig cfg;
     const char* json_path = nullptr;
     bool list = false;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--list")) {
-            list = true;
-        } else if (!std::strcmp(argv[i], "--workloads") && i + 1 < argc) {
-            // Comma-separated workload names.
-            std::string arg = argv[++i];
-            std::size_t pos = 0;
-            while (pos <= arg.size()) {
-                const std::size_t comma = arg.find(',', pos);
-                const std::string name =
-                    arg.substr(pos, comma == std::string::npos
-                                        ? std::string::npos
-                                        : comma - pos);
-                if (!name.empty()) cfg.workloads.push_back(name);
-                if (comma == std::string::npos) break;
-                pos = comma + 1;
-            }
-        } else if (flag_u64(argc, argv, i, "--seed", cfg.seed, bad)) {
-        } else if (flag_u32(argc, argv, i, "--reorders",
-                            cfg.reorder_variants, bad)) {
-        } else if (!std::strcmp(argv[i], "--no-torn")) {
-            cfg.torn_writes = false;
-        } else if (flag_u64(argc, argv, i, "--max-points",
-                            cfg.max_points_per_workload, bad)) {
-        } else if (flag_f64(argc, argv, i, "--target", cfg.tcd_target,
-                            bad)) {
-        } else if (flag_u64_opt(argc, argv, i, "--inject-skip-barrier",
-                                cfg.inject_skip_barrier, bad)) {
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            return usage();
-        }
-        if (bad) return kExitUsage;
-    }
+    if (auto rc = cli.parse(
+            {"crashtest", "", 0, 0,
+             {{"--workloads", "a,b",
+               [&cfg](const char* names) {
+                   std::istringstream in(names);
+                   for (std::string name; std::getline(in, name, ',');)
+                       if (!name.empty()) cfg.workloads.push_back(name);
+                   return std::string();
+               }},
+              {"--list", nullptr, set_to(list, true)},
+              {"--seed", "N", u64(cfg.seed)},
+              {"--reorders", "N", u32(cfg.reorder_variants)},
+              {"--no-torn", nullptr, set_to(cfg.torn_writes, false)},
+              {"--max-points", "N", u64(cfg.max_points_per_workload)},
+              {"--target", "N", f64(cfg.tcd_target)},
+              {"--inject-skip-barrier", "K", u64(cfg.inject_skip_barrier)},
+              {"--json", "FILE", text(json_path)}},
+             "      coverage-guided crash-consistency testing: run the\n"
+             "      crashmonkey-baseline workloads (--list names them), log\n"
+             "      durable effects, enumerate bounded crash states (barrier\n"
+             "      points, partial in-order tails, seeded reordered tails,\n"
+             "      torn writes) and check each recovered state against the\n"
+             "      persisted-prefix oracle plus fsck.  Deterministic for a\n"
+             "      fixed --seed.\n"
+             "      --inject-skip-barrier K seeds a lost-barrier bug into the\n"
+             "      replayer to validate the oracle (exits 0 iff caught);\n"
+             "      otherwise exits 1 when any bug is found.\n"}))
+        return *rc;
     if (list) {
         for (const auto& wl : testers::crash::crashmonkey_baseline())
             std::printf("%-22s %s\n", wl.name.c_str(),
@@ -1534,12 +1456,10 @@ int cmd_crashtest(int argc, char** argv) {
         bool known = false;
         for (const auto& wl : testers::crash::crashmonkey_baseline())
             known = known || wl.name == name;
-        if (!known) {
-            std::fprintf(stderr, "iocov: unknown workload %s "
-                                 "(try --list)\n",
-                         name.c_str());
-            return 2;
-        }
+        if (!known)
+            return cli.fail(std::string("--workloads: unknown workload '")
+                                .append(name)
+                                .append("' (try --list)"));
     }
     const auto report = testers::crash::run_crashtest(cfg);
     std::printf("%s", report.to_string().c_str());
@@ -1557,16 +1477,16 @@ int cmd_crashtest(int argc, char** argv) {
     return report.total_bugs == 0 ? kExitOk : kExitFindings;
 }
 
-int cmd_bugstudy(int argc, char** argv) {
+int cmd_bugstudy(Cli& cli) {
     double scale = 0.01;
     bool export_dataset = false;
-    bool bad = false;
-    for (int i = 0; i < argc; ++i) {
-        if (flag_f64(argc, argv, i, "--scale", scale, bad)) {
-        } else if (!std::strcmp(argv[i], "--export"))
-            export_dataset = true;
-        if (bad) return kExitUsage;
-    }
+    if (auto rc = cli.parse(
+            {"bugstudy", "", 0, 0,
+             {{"--scale", "S", f64(scale)},
+              {"--export", nullptr, set_to(export_dataset, true)}},
+             "      the Section 2 bug study against the xfstests simulator;\n"
+             "      --export prints the per-bug dataset instead.\n"}))
+        return *rc;
     if (export_dataset) {
         // The dataset the paper promises to release: per-bug coverage
         // sites, classification, and trigger.
@@ -1597,27 +1517,96 @@ int cmd_bugstudy(int argc, char** argv) {
     return 0;
 }
 
-}  // namespace
+// ---- dispatch ---------------------------------------------------------
 
-namespace {
+struct Command {
+    const char* name;
+    int (*run)(Cli&);
+};
 
-int dispatch(const std::string& cmd, int argc, char** argv) {
-    if (cmd == "analyze") return cmd_analyze(argc, argv);
-    if (cmd == "convert") return cmd_convert(argc, argv);
-    if (cmd == "merge") return cmd_merge(argc, argv);
-    if (cmd == "trend") return cmd_trend(argc, argv);
-    if (cmd == "report") return cmd_report(argc, argv);
-    if (cmd == "diff") return cmd_diff(argc, argv);
-    if (cmd == "tcd") return cmd_tcd(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "push") return cmd_push(argc, argv);
-    if (cmd == "query") return cmd_query(argc, argv);
-    if (cmd == "demo") return cmd_demo(argc, argv);
-    if (cmd == "campaign") return cmd_campaign(argc, argv);
-    if (cmd == "guide") return cmd_guide(argc, argv);
-    if (cmd == "crashtest") return cmd_crashtest(argc, argv);
-    if (cmd == "bugstudy") return cmd_bugstudy(argc, argv);
-    return usage();
+constexpr Command kCommands[] = {
+    {"analyze", cmd_analyze},     {"convert", cmd_convert},
+    {"merge", cmd_merge},         {"trend", cmd_trend},
+    {"report", cmd_report},       {"diff", cmd_diff},
+    {"tcd", cmd_tcd},             {"serve", cmd_serve},
+    {"push", cmd_push},           {"query", cmd_query},
+    {"demo", cmd_demo},           {"campaign", cmd_campaign},
+    {"guide", cmd_guide},         {"crashtest", cmd_crashtest},
+    {"bugstudy", cmd_bugstudy},
+};
+
+constexpr const char* kGeneralHelp =
+    "\n"
+    "`iocov COMMAND --help` prints one command's usage.\n"
+    "\n"
+    "durability: every file the tool writes (reports, snapshots,\n"
+    "json, checkpoints) is published atomically — full write +\n"
+    "fsync to a temp file in the destination directory, then\n"
+    "rename + directory fsync — so a crash or fault at any instant\n"
+    "leaves the previous complete artifact or the new complete\n"
+    "artifact, never a torn file.\n"
+    "\n"
+    "checkpoints: `merge --checkpoint FILE` and (single-directory)\n"
+    "`analyze --checkpoint FILE` write a resumable IOCK manifest\n"
+    "every N consumed inputs (--checkpoint-every N, default 8);\n"
+    "--resume continues an interrupted walk from the manifest and\n"
+    "produces byte-identical final output.  The manifest is removed\n"
+    "on success.\n"
+    "\n"
+    "strictness: every argument is checked before any input is\n"
+    "opened.  An unknown flag, a flag missing its operand, an\n"
+    "invalid operand, or too few or too many positional arguments\n"
+    "is a usage error (exit 2) with a one-line reason.  Numeric\n"
+    "operands are parsed whole — junk, embedded signs or overflow is\n"
+    "never a silent 0 or a saturated value.  `trend --window 0`,\n"
+    "`merge --timestamp 0` and `--checkpoint-every 0` are rejected\n"
+    "as degenerate.\n"
+    "\n"
+    "exit codes:\n"
+    "  0  success\n"
+    "  1  findings (coverage regression, bugs found, --max-errors\n"
+    "     budget exceeded)\n"
+    "  2  usage error\n"
+    "  3  I/O or artifact error (unreadable input, undecodable\n"
+    "     artifact, an output that could not be written durably, or\n"
+    "     a stdout consumer that closed the pipe early — SIGPIPE is\n"
+    "     ignored and the truncation reported here instead)\n";
+
+/// Every command's synopsis, with its prose and the general notes when
+/// `prose` (the --help page), or bare (after a usage error).
+void print_usage(std::FILE* out, bool prose) {
+    std::fprintf(out, "usage:\n");
+    for (const Command& c : kCommands) {
+        Cli cli = Cli::describe(out, prose);
+        c.run(cli);
+    }
+    if (prose) std::fprintf(out, "%s", kGeneralHelp);
+}
+
+int usage_error(const std::string& reason) {
+    std::fprintf(stderr, "iocov: %s\n", reason.c_str());
+    print_usage(stderr, false);
+    return kExitUsage;
+}
+
+int dispatch(std::span<char*> args) {
+    if (args.empty()) return usage_error("missing command");
+    const std::string_view cmd = args[0];
+    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+        if (args.size() > 1)
+            return usage_error(std::string("unexpected argument '")
+                                   .append(args[1])
+                                   .append("'"));
+        print_usage(stdout, true);
+        return kExitOk;
+    }
+    for (const Command& c : kCommands) {
+        if (cmd != c.name) continue;
+        Cli cli(args.subspan(1));
+        return c.run(cli);
+    }
+    return usage_error(std::string("unknown command '").append(cmd).append(
+        "'"));
 }
 
 }  // namespace
@@ -1635,7 +1624,7 @@ int main(int argc, char** argv) {
     // kill-point placement.  See src/host/fault.hpp for the grammar.
     host::FaultHook::configure_from_env();
     std::vector<char*> args;
-    for (int i = 0; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--self-fault") && i + 1 < argc) {
             if (auto err = host::FaultHook::configure(argv[++i])) {
                 std::fprintf(stderr, "iocov: --self-fault: %s\n",
@@ -1646,10 +1635,7 @@ int main(int argc, char** argv) {
         }
         args.push_back(argv[i]);
     }
-    argc = static_cast<int>(args.size());
-    argv = args.data();
-    if (argc < 2) return usage();
-    int rc = dispatch(argv[1], argc - 2, argv + 2);
+    int rc = dispatch(args);
     // Flush before exiting so a closed-pipe consumer is detected here,
     // while we can still report it, rather than lost in exit teardown.
     if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
